@@ -15,6 +15,7 @@ package camcast
 //	go test -run 'xxx' -bench BenchmarkMulticastThroughput -benchtime 2s .
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -70,7 +71,7 @@ func benchMulticastMem(b *testing.B, fanout, size int) {
 	}
 	n.Settle(5)
 	payload := benchPayloadBytes(size)
-	if _, err := source.Multicast(payload); err != nil {
+	if _, err := source.MulticastContext(context.Background(), payload); err != nil {
 		b.Fatal(err)
 	}
 	benchAwaitDeliveries(b, &delivered, int64(fanout+1))
@@ -79,7 +80,7 @@ func benchMulticastMem(b *testing.B, fanout, size int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := source.Multicast(payload); err != nil {
+		if _, err := source.MulticastContext(context.Background(), payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,7 +90,7 @@ func benchMulticastMem(b *testing.B, fanout, size int) {
 
 func benchMulticastTCP(b *testing.B, fanout, size int) {
 	var delivered atomic.Int64
-	var members []*TCPMember
+	var members []*Member
 	defer func() {
 		for _, m := range members {
 			m.Close()
@@ -118,7 +119,7 @@ func benchMulticastTCP(b *testing.B, fanout, size int) {
 		}
 	}
 	payload := benchPayloadBytes(size)
-	if _, err := members[0].Multicast(payload); err != nil {
+	if _, err := members[0].MulticastContext(context.Background(), payload); err != nil {
 		b.Fatal(err)
 	}
 	benchAwaitDeliveries(b, &delivered, int64(fanout+1))
@@ -127,7 +128,7 @@ func benchMulticastTCP(b *testing.B, fanout, size int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := members[0].Multicast(payload); err != nil {
+		if _, err := members[0].MulticastContext(context.Background(), payload); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,6 +18,7 @@ package camcast
 // `go run ./cmd/camfigs`.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -386,7 +387,7 @@ func BenchmarkLiveMulticast(b *testing.B) {
 	payload := make([]byte, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := src.Multicast(payload); err != nil {
+		if _, err := src.MulticastContext(context.Background(), payload); err != nil {
 			b.Fatal(err)
 		}
 	}

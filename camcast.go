@@ -57,6 +57,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -64,7 +65,6 @@ import (
 	"camcast/internal/obsv"
 	"camcast/internal/ring"
 	"camcast/internal/runtime"
-	"camcast/internal/trace"
 	"camcast/internal/transport"
 )
 
@@ -137,46 +137,6 @@ const (
 // counters, gauges, and histogram summaries keyed by metric name (for
 // example "transport.rpc.latency_seconds" or "runtime.forward.acked").
 type MetricsSnapshot = obsv.Snapshot
-
-// Node is the unified member API satisfied by both member kinds: the
-// in-process *Member and the socket-backed *TCPMember. Code that drives a
-// member — sending, probing, inspecting, departing — can take a Node and
-// work with either.
-type Node interface {
-	// Addr returns the member's transport address.
-	Addr() string
-	// ID returns the member's ring identifier.
-	ID() uint64
-	// Capacity returns the member's multicast capacity c_x.
-	Capacity() int
-	// MulticastContext sends payload to every group member (including
-	// this one) and returns the message ID; a canceled context abandons
-	// outstanding child sends. Multicast is the context-less form.
-	//
-	// Deprecated: Multicast is kept as a thin wrapper for existing
-	// callers; new code should pass a context via MulticastContext.
-	Multicast(payload []byte) (string, error)
-	MulticastContext(ctx context.Context, payload []byte) (string, error)
-	// RequestContext sends a unicast request to the member at addr; the
-	// remote member must have configured Options.OnRequest. Request is
-	// the context-less form.
-	//
-	// Deprecated: Request is kept as a thin wrapper for existing
-	// callers; new code should pass a context via RequestContext.
-	Request(addr string, payload []byte) ([]byte, error)
-	RequestContext(ctx context.Context, addr string, payload []byte) ([]byte, error)
-	// Stats returns a snapshot of the member's protocol counters.
-	Stats() Stats
-	// Neighbors reports the member's current ring neighborhood.
-	Neighbors() NeighborInfo
-	// Leave departs the group gracefully.
-	Leave() error
-}
-
-var (
-	_ Node = (*Member)(nil)
-	_ Node = (*TCPMember)(nil)
-)
 
 // NeighborInfo is one member's view of its ring neighborhood, as served
 // by the /debug/camcast/neighbors endpoint.
@@ -256,8 +216,8 @@ type Options struct {
 	// copy it to retain it (see Message).
 	OnDeliver func(Message)
 	// OnRequest serves unicast requests other members send with
-	// Member.Request — the escape hatch layers like reliable delivery use
-	// for retransmission. nil rejects such requests.
+	// Member.RequestContext — the escape hatch layers like reliable
+	// delivery use for retransmission. nil rejects such requests.
 	OnRequest func(from string, payload []byte) ([]byte, error)
 	// Stabilize and Fix set the background maintenance cadence. Zero means
 	// the Network's defaults (20ms in-process). Negative disables
@@ -295,20 +255,11 @@ type Options struct {
 	// cannot wedge a pooled connection (ListenTCP members only). Zero
 	// keeps the transport default (10s).
 	RPCTimeout time.Duration
-	// Codec selects the TCP wire encoding for payloads this member sends
-	// (ListenTCP members only): "binary" (default) uses the compact
-	// tagged encoding, "gob" forces the encoding/gob fallback for A/B
-	// comparison. Peers decode by tag, so members with different codecs
-	// interoperate.
-	Codec string
 	// GroupBacklogLimit bounds, per group and per connection, the bytes
 	// of unflushed outbound requests (ListenTCP and Group.Listen members
 	// only — members added to a shared host with Group.ListenOn inherit
 	// the host's HostOptions.GroupBacklogLimit). Zero disables the quota.
 	GroupBacklogLimit int
-
-	// Tracer optionally records protocol events.
-	Tracer *trace.Tracer
 
 	// Observer, if set, receives this member's protocol events (joins,
 	// forwards, repairs, deliveries) as they happen. Delivery is
@@ -484,31 +435,72 @@ func (n *Network) Close() {
 	n.mu.Unlock()
 	for _, g := range groups {
 		g.mu.Lock()
-		members := make([]*Member, 0, len(g.members))
-		for _, m := range g.members {
-			members = append(members, m)
-		}
+		members := g.members
 		g.members = make(map[string]*Member)
 		g.mu.Unlock()
 		for _, m := range members {
-			m.node.Stop()
-			m.stopObserver()
+			m.stop()
 		}
 	}
 }
 
-// Member is one live in-process group member.
+// Member is one live group member: in-process on a Network (Create, Join)
+// or on a real TCP socket, exactly as a separate process or host would run
+// it (ListenTCP, Group.Listen, Group.ListenOn). Every method behaves the
+// same for both.
 type Member struct {
-	net     *Network
-	grp     *Group
-	addr    string
 	node    *runtime.Node
+	group   string
+	host    *TCPHost // nil for in-process members
+	bus     *obsv.Bus
+	reg     *obsv.Registry
 	stopObs func() // detaches Options.Observer; nil when unset
+	// detach removes the member from the group or host that tracks it and,
+	// for a member that owns its host (ListenTCP, Group.Listen), closes the
+	// host. Its creator supplies it.
+	detach func()
 }
 
-// Group returns the name of the group the member belongs to ("default"
-// for members started with Network.Create/Join).
-func (m *Member) Group() string { return m.grp.name }
+// start builds the member's node on tr and bootstraps the group's overlay
+// (via == "") or joins it through via. The Observer is subscribed before
+// the node exists so it sees the join itself. On error nothing is left
+// running.
+func (m *Member) start(tr runtime.Transport, addr, via string, cfg runtime.Config, opts Options) error {
+	cfg.OnDeliver = func(d runtime.Delivery) {
+		if opts.OnDeliver != nil {
+			opts.OnDeliver(Message{ID: d.MsgID, From: d.Source.Addr, Payload: d.Payload, Hops: d.Hops})
+		}
+	}
+	cfg.OnRequest = opts.OnRequest
+	cfg.Bus = m.bus
+	cfg.Metrics = m.reg
+	if opts.Observer != nil {
+		m.stopObs = observe(m.bus, m.reg, addr, opts.Observer)
+	}
+	node, err := runtime.NewNode(tr, addr, cfg)
+	if err == nil {
+		m.node = node
+		if via == "" {
+			err = node.Bootstrap()
+		} else {
+			err = node.Join(via)
+		}
+		if err != nil {
+			node.Stop()
+		}
+	}
+	if err != nil {
+		m.stopObserver()
+	}
+	return err
+}
+
+// stop halts the node and detaches the Observer without detaching the
+// member from its group or host.
+func (m *Member) stop() {
+	m.node.Stop()
+	m.stopObserver()
+}
 
 func (m *Member) stopObserver() {
 	if m.stopObs != nil {
@@ -516,8 +508,9 @@ func (m *Member) stopObserver() {
 	}
 }
 
-// Addr returns the member's transport address.
-func (m *Member) Addr() string { return m.addr }
+// Addr returns the member's transport address — for a TCP member its bound
+// "host:port", what other members of the same group pass as via.
+func (m *Member) Addr() string { return m.node.Self().Addr }
 
 // ID returns the member's ring identifier.
 func (m *Member) ID() uint64 { return m.node.Self().ID }
@@ -525,62 +518,83 @@ func (m *Member) ID() uint64 { return m.node.Self().ID }
 // Capacity returns the member's multicast capacity c_x.
 func (m *Member) Capacity() int { return m.node.Capacity() }
 
-// Multicast sends payload to every group member (including this one) and
-// returns the message ID.
-//
-// Deprecated: use MulticastContext. Multicast remains a thin
-// background-context wrapper.
-func (m *Member) Multicast(payload []byte) (string, error) {
-	return m.node.Multicast(payload)
-}
+// Group returns the name of the group the member belongs to ("default"
+// for members started with Network.Create/Join or ListenTCP).
+func (m *Member) Group() string { return m.group }
 
-// MulticastContext is Multicast under a context: cancellation abandons
-// outstanding child sends without counting them as losses or triggering
-// repair — the caller gave up, the group did not fail.
+// Host returns the TCPHost carrying the member, or nil for an in-process
+// member.
+func (m *Member) Host() *TCPHost { return m.host }
+
+// MulticastContext sends payload to every group member (including this
+// one) and returns the message ID. Cancellation abandons outstanding child
+// sends without counting them as losses or triggering repair — the caller
+// gave up, the group did not fail.
 func (m *Member) MulticastContext(ctx context.Context, payload []byte) (string, error) {
 	return m.node.MulticastContext(ctx, payload)
 }
 
-// Leave departs gracefully, telling ring neighbors to splice the member out.
-func (m *Member) Leave() error {
-	err := m.node.Leave()
-	m.grp.remove(m.addr)
-	m.stopObserver()
-	return err
-}
-
-// Crash stops the member without any notification, as a real failure would.
-func (m *Member) Crash() {
-	m.node.Stop()
-	m.grp.remove(m.addr)
-	m.stopObserver()
+// RequestContext sends a unicast request to the member at addr and returns
+// its response; the remote member must have configured Options.OnRequest.
+// The context bounds or cancels the round-trip.
+func (m *Member) RequestContext(ctx context.Context, addr string, payload []byte) ([]byte, error) {
+	return m.node.RequestContext(ctx, addr, payload)
 }
 
 // Stats returns a snapshot of the member's protocol counters.
 func (m *Member) Stats() Stats { return m.node.Stats() }
 
+// Metrics returns a snapshot of the registry the member reports into: its
+// Network's for an in-process member, its host's for a TCP member (which
+// adds the TCP transport's RPC latency, in-flight calls and flush batch
+// sizes). Either way it also covers the members sharing that registry.
+func (m *Member) Metrics() MetricsSnapshot { return m.reg.Snapshot() }
+
 // Neighbors reports the member's current ring neighborhood.
 func (m *Member) Neighbors() NeighborInfo { return neighborInfo(m.node) }
 
-// Observe attaches fn to this member's events only; see Network.Observe
-// for the whole group's stream.
+// Observe attaches fn to this member's events only and returns a function
+// that detaches it; see Network.Observe for a whole network's stream.
 func (m *Member) Observe(fn func(Event)) (stop func()) {
-	return observe(m.net.bus, m.net.reg, m.addr, fn)
+	return observe(m.bus, m.reg, m.Addr(), fn)
 }
 
-// Request sends a unicast request to the member at addr and returns its
-// response; the remote member must have configured Options.OnRequest.
-//
-// Deprecated: use RequestContext. Request remains a thin
-// background-context wrapper.
-func (m *Member) Request(addr string, payload []byte) ([]byte, error) {
-	return m.node.Request(addr, payload)
+// DebugHandler returns the member's live debug surface —
+// /debug/camcast/{stats,neighbors,events} plus net/http/pprof — ready to
+// mount on an HTTP server. Stats and events cover the registry and bus the
+// member shares (see Metrics); neighbors are the member's own.
+func (m *Member) DebugHandler() http.Handler {
+	return obsv.Debug{
+		Registry:  m.reg,
+		Bus:       m.bus,
+		Neighbors: func() any { return []NeighborInfo{m.Neighbors()} },
+		Extra:     func() any { return m.Stats() },
+	}.Handler()
 }
 
-// RequestContext is Request under a context, which bounds or cancels the
-// round-trip.
-func (m *Member) RequestContext(ctx context.Context, addr string, payload []byte) ([]byte, error) {
-	return m.node.RequestContext(ctx, addr, payload)
+// StabilizeOnce drives one stabilization round explicitly, for members
+// whose background maintenance is disabled (negative Options.Stabilize).
+func (m *Member) StabilizeOnce() { m.node.StabilizeOnce() }
+
+// FixAll refreshes the member's entire routing table in one pass.
+func (m *Member) FixAll() { m.node.FixAll() }
+
+// Leave departs gracefully, telling ring neighbors to splice the member
+// out, and detaches it from its group or host.
+func (m *Member) Leave() error {
+	err := m.node.Leave()
+	m.stopObserver()
+	m.detach()
+	return err
+}
+
+// Close stops the member abruptly, without any notification — peers see a
+// crash, as a real failure would — and detaches it. A member that owns its
+// host (ListenTCP, Group.Listen) also releases the host's transport. Safe
+// to call multiple times.
+func (m *Member) Close() {
+	m.stop()
+	m.detach()
 }
 
 func buildConfig(opts Options) (runtime.Config, error) {
@@ -643,6 +657,5 @@ func buildConfig(opts Options) (runtime.Config, error) {
 		ForwardParallel: opts.ForwardParallel,
 		RetryBackoff:    opts.RetryBackoff,
 		SuspicionWindow: opts.SuspicionWindow,
-		Tracer:          opts.Tracer,
 	}, nil
 }

@@ -1,6 +1,7 @@
 package camcast
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -73,7 +74,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msgID, err := m.Multicast([]byte("hello group"))
+	msgID, err := m.MulticastContext(context.Background(), []byte("hello group"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestQuickstartFlow(t *testing.T) {
 func TestKoordeProtocolFlow(t *testing.T) {
 	net, col, addrs := buildGroup(t, CAMKoorde, 12, 5)
 	m, _ := net.Member(addrs[7])
-	msgID, err := m.Multicast([]byte("koorde"))
+	msgID, err := m.MulticastContext(context.Background(), []byte("koorde"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestLeaveThenMulticast(t *testing.T) {
 	}
 	net.Settle(3)
 	src, _ := net.Member(addrs[0])
-	msgID, err := src.Multicast([]byte("post-leave"))
+	msgID, err := src.MulticastContext(context.Background(), []byte("post-leave"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +179,10 @@ func TestLeaveThenMulticast(t *testing.T) {
 func TestCrashThenMulticast(t *testing.T) {
 	net, col, addrs := buildGroup(t, CAMChord, 10, 4)
 	victim, _ := net.Member(addrs[6])
-	victim.Crash()
+	victim.Close()
 	net.Settle(4)
 	src, _ := net.Member(addrs[1])
-	msgID, err := src.Multicast([]byte("post-crash"))
+	msgID, err := src.MulticastContext(context.Background(), []byte("post-crash"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestBackgroundMaintenanceConverges(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		src, _ := net.Member("c")
-		msgID, err := src.Multicast([]byte("ping"))
+		msgID, err := src.MulticastContext(context.Background(), []byte("ping"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +253,7 @@ func TestProtocolString(t *testing.T) {
 func TestStatsExposed(t *testing.T) {
 	net, _, addrs := buildGroup(t, CAMChord, 6, 4)
 	src, _ := net.Member(addrs[2])
-	if _, err := src.Multicast([]byte("x")); err != nil {
+	if _, err := src.MulticastContext(context.Background(), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if src.Stats().Delivered == 0 {
@@ -273,7 +274,7 @@ func TestNetworkCloseStopsMembers(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Close()
-	if _, err := m.Multicast(nil); err == nil {
+	if _, err := m.MulticastContext(context.Background(), nil); err == nil {
 		t.Error("multicast after Close should fail")
 	}
 	if _, err := net.Create("b", Options{}); err == nil {
@@ -286,7 +287,7 @@ func TestNetworkCounters(t *testing.T) {
 	net, col, addrs := buildGroup(t, CAMChord, 10, 4)
 
 	src, _ := net.Member(addrs[2])
-	msgID, err := src.Multicast([]byte("counted"))
+	msgID, err := src.MulticastContext(context.Background(), []byte("counted"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,8 +309,8 @@ func TestNetworkCounters(t *testing.T) {
 	// accounted (acks grew, nothing reported lost).
 	before := counters.ForwardAcked
 	victim, _ := net.Member(addrs[6])
-	victim.Crash()
-	msgID, err = src.Multicast([]byte("after crash"))
+	victim.Close()
+	msgID, err = src.MulticastContext(context.Background(), []byte("after crash"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,9 +334,9 @@ func TestNetworkCounters(t *testing.T) {
 func TestMemberForwardingStats(t *testing.T) {
 	net, _, addrs := buildGroup(t, CAMChord, 8, 4)
 	victim, _ := net.Member(addrs[5])
-	victim.Crash()
+	victim.Close()
 	src, _ := net.Member(addrs[0])
-	if _, err := src.Multicast([]byte("stats probe")); err != nil {
+	if _, err := src.MulticastContext(context.Background(), []byte("stats probe")); err != nil {
 		t.Fatal(err)
 	}
 	var agg Stats
@@ -385,7 +386,7 @@ func TestListenTCPGroup(t *testing.T) {
 		}
 	}
 
-	var members []*TCPMember
+	var members []*Member
 	var addrs []string
 	for i := 0; i < 4; i++ {
 		self := new(string)
@@ -418,7 +419,7 @@ func TestListenTCPGroup(t *testing.T) {
 		}
 	}
 
-	msgID, err := members[2].Multicast([]byte("over real sockets"))
+	msgID, err := members[2].MulticastContext(context.Background(), []byte("over real sockets"))
 	if err != nil {
 		t.Fatal(err)
 	}

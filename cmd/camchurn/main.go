@@ -8,7 +8,7 @@
 //
 //	camchurn [-initial 48] [-events 150] [-join 0.5] [-crash 0.5]
 //	         [-cap-lo 4] [-cap-hi 10] [-seed 1]
-//	         [-transport mem|tcp] [-codec binary|gob]
+//	         [-transport mem|tcp]
 //	         [-debug-addr host:port]
 //	camchurn -live 1000,10000,100000 [-mode cam-chord] [-shards 0]
 //	         [-live-groups 1] [-ramp bulk|join] [-churn 0] [-probes 0]
@@ -76,7 +76,6 @@ func run(args []string, out io.Writer) error {
 		capHi   = fs.Int("cap-hi", 10, "highest member capacity")
 		seed    = fs.Int64("seed", 1, "RNG seed")
 		trans   = fs.String("transport", "mem", "member transport: mem (in-process simulated network) or tcp (one loopback listener per member)")
-		codec   = fs.String("codec", "", "wire codec for -transport tcp: binary (default) or gob")
 		debug   = fs.String("debug-addr", "", "serve the live debug endpoint (JSON stats, event tail, pprof) on this host:port")
 
 		scen     = fs.String("scenario", "", "run this named failure scenario instead of the budget sweep (see -scenarios)")
@@ -164,7 +163,6 @@ func run(args []string, out io.Writer) error {
 				Seed:              *seed,
 				MaintenanceBudget: budget,
 				Transport:         *trans,
-				Codec:             *codec,
 				Bus:               bus,
 				Metrics:           rowReg,
 			})

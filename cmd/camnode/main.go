@@ -16,8 +16,7 @@
 //
 // Flags: -protocol cam-chord|cam-koorde (default cam-chord); -tcp hosts
 // every member on its own real TCP listener (loopback sockets) instead of
-// the in-process simulated transport, and -codec binary|gob selects the
-// TCP wire encoding (ignored without -tcp); -debug-addr host:port serves
+// the in-process simulated transport; -debug-addr host:port serves
 // the live observability endpoint (/debug/camcast/{stats,neighbors,events}
 // plus net/http/pprof) while the REPL runs.
 package main
@@ -43,10 +42,9 @@ import (
 func main() {
 	protocol := flag.String("protocol", "cam-chord", "cam-chord | cam-koorde")
 	tcp := flag.Bool("tcp", false, "host each member on its own TCP listener instead of the in-process transport")
-	codec := flag.String("codec", "", "TCP wire codec: binary (default) or gob; requires -tcp")
 	debugAddr := flag.String("debug-addr", "", "serve the live debug endpoint (JSON stats, event tail, pprof) on this host:port")
 	flag.Parse()
-	if err := run(*protocol, *tcp, *codec, *debugAddr, os.Stdin, os.Stdout); err != nil {
+	if err := run(*protocol, *tcp, *debugAddr, os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "camnode:", err)
 		os.Exit(1)
 	}
@@ -55,9 +53,9 @@ func main() {
 // group abstracts the two member-hosting modes of the REPL: one in-process
 // simulated network, or one real TCP transport per member.
 type group interface {
-	create(label string, opts camcast.Options) (camcast.Node, error)
-	join(label, via string, opts camcast.Options) (camcast.Node, error)
-	member(label string) (camcast.Node, error)
+	create(label string, opts camcast.Options) (*camcast.Member, error)
+	join(label, via string, opts camcast.Options) (*camcast.Member, error)
+	member(label string) (*camcast.Member, error)
 	labels() []string
 	settle(rounds int)
 	leave(label string) error
@@ -81,7 +79,7 @@ type session struct {
 	out      io.Writer
 }
 
-func run(protocolName string, tcp bool, codec, debugAddr string, in io.Reader, out io.Writer) error {
+func run(protocolName string, tcp bool, debugAddr string, in io.Reader, out io.Writer) error {
 	var protocol camcast.Protocol
 	switch protocolName {
 	case "cam-chord":
@@ -91,18 +89,12 @@ func run(protocolName string, tcp bool, codec, debugAddr string, in io.Reader, o
 	default:
 		return fmt.Errorf("unknown protocol %q", protocolName)
 	}
-	if codec != "" && !tcp {
-		return fmt.Errorf("-codec requires -tcp")
-	}
 
 	var grp group
 	mode := "in-process"
 	if tcp {
-		grp = newTCPGroup(codec)
+		grp = newTCPGroup()
 		mode = "tcp"
-		if codec != "" {
-			mode = "tcp, " + codec + " codec"
-		}
 	} else {
 		grp = newMemGroup()
 	}
@@ -372,15 +364,15 @@ func newMemGroup() *memGroup {
 	return &memGroup{net: n, cur: n.DefaultGroup()}
 }
 
-func (g *memGroup) create(label string, opts camcast.Options) (camcast.Node, error) {
+func (g *memGroup) create(label string, opts camcast.Options) (*camcast.Member, error) {
 	return g.cur.Create(label, opts)
 }
 
-func (g *memGroup) join(label, via string, opts camcast.Options) (camcast.Node, error) {
+func (g *memGroup) join(label, via string, opts camcast.Options) (*camcast.Member, error) {
 	return g.cur.Join(label, via, opts)
 }
 
-func (g *memGroup) member(label string) (camcast.Node, error) { return g.cur.Member(label) }
+func (g *memGroup) member(label string) (*camcast.Member, error) { return g.cur.Member(label) }
 
 func (g *memGroup) labels() []string { return g.cur.Members() }
 
@@ -401,7 +393,7 @@ func (g *memGroup) crash(label string) error {
 	if err != nil {
 		return err
 	}
-	m.Crash()
+	m.Close()
 	return nil
 }
 
@@ -430,21 +422,19 @@ func (g *memGroup) close() { g.net.Close() }
 // listeners register their flow under. The mutex covers the member map:
 // the REPL goroutine mutates it while the -debug-addr HTTP server reads it.
 type tcpGroup struct {
-	codec string
-	net   *camcast.Network
-	cur   *camcast.Group
+	net *camcast.Network
+	cur *camcast.Group
 
 	mu      sync.Mutex
-	members map[string]*camcast.TCPMember
+	members map[string]*camcast.Member
 }
 
-func newTCPGroup(codec string) *tcpGroup {
+func newTCPGroup() *tcpGroup {
 	n := camcast.NewNetwork()
-	return &tcpGroup{codec: codec, net: n, cur: n.DefaultGroup(), members: make(map[string]*camcast.TCPMember)}
+	return &tcpGroup{net: n, cur: n.DefaultGroup(), members: make(map[string]*camcast.Member)}
 }
 
 func (g *tcpGroup) tcpOptions(opts camcast.Options) camcast.Options {
-	opts.Codec = g.codec
 	// Loopback members tolerate tight failure-detection windows; keep the
 	// REPL snappy after a crash.
 	opts.DialTimeout = 2 * time.Second
@@ -452,14 +442,14 @@ func (g *tcpGroup) tcpOptions(opts camcast.Options) camcast.Options {
 	return opts
 }
 
-func (g *tcpGroup) lookup(label string) (*camcast.TCPMember, bool) {
+func (g *tcpGroup) lookup(label string) (*camcast.Member, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	m, ok := g.members[label]
 	return m, ok
 }
 
-func (g *tcpGroup) create(label string, opts camcast.Options) (camcast.Node, error) {
+func (g *tcpGroup) create(label string, opts camcast.Options) (*camcast.Member, error) {
 	if _, ok := g.lookup(label); ok {
 		return nil, fmt.Errorf("member %q already exists", label)
 	}
@@ -473,7 +463,7 @@ func (g *tcpGroup) create(label string, opts camcast.Options) (camcast.Node, err
 	return m, nil
 }
 
-func (g *tcpGroup) join(label, via string, opts camcast.Options) (camcast.Node, error) {
+func (g *tcpGroup) join(label, via string, opts camcast.Options) (*camcast.Member, error) {
 	if _, ok := g.lookup(label); ok {
 		return nil, fmt.Errorf("member %q already exists", label)
 	}
@@ -494,7 +484,7 @@ func (g *tcpGroup) join(label, via string, opts camcast.Options) (camcast.Node, 
 	return m, nil
 }
 
-func (g *tcpGroup) member(label string) (camcast.Node, error) {
+func (g *tcpGroup) member(label string) (*camcast.Member, error) {
 	m, ok := g.lookup(label)
 	if !ok {
 		return nil, fmt.Errorf("no such member %q", label)
@@ -547,10 +537,10 @@ func (g *tcpGroup) groupList() []camcast.GroupInfo {
 	return infos
 }
 
-func (g *tcpGroup) snapshot() []*camcast.TCPMember {
+func (g *tcpGroup) snapshot() []*camcast.Member {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]*camcast.TCPMember, 0, len(g.members))
+	out := make([]*camcast.Member, 0, len(g.members))
 	for _, m := range g.members {
 		out = append(out, m)
 	}

@@ -31,7 +31,7 @@ func newTestTCPSession(t *testing.T) (*session, *strings.Builder) {
 	t.Helper()
 	out := &strings.Builder{}
 	s := &session{
-		grp:      newTCPGroup(""),
+		grp:      newTCPGroup(),
 		protocol: camcast.CAMChord,
 		out:      out,
 	}
@@ -109,14 +109,8 @@ func TestSessionHelp(t *testing.T) {
 	}
 }
 
-func TestRunCodecWithoutTCP(t *testing.T) {
-	if err := run("cam-chord", false, "gob", "", strings.NewReader(""), &strings.Builder{}); err == nil {
-		t.Error("-codec without -tcp should fail")
-	}
-}
-
 func TestRunUnknownProtocol(t *testing.T) {
-	if err := run("bogus", false, "", "", strings.NewReader(""), &strings.Builder{}); err == nil {
+	if err := run("bogus", false, "", strings.NewReader(""), &strings.Builder{}); err == nil {
 		t.Error("unknown protocol should fail")
 	}
 }
@@ -124,7 +118,7 @@ func TestRunUnknownProtocol(t *testing.T) {
 func TestRunKoordeSession(t *testing.T) {
 	in := strings.NewReader("create a 5\njoin b a 5\nsettle\nsend a hi\nquit\n")
 	out := &strings.Builder{}
-	if err := run("cam-koorde", false, "", "", in, out); err != nil {
+	if err := run("cam-koorde", false, "", in, out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "[b] a: hi") {
@@ -159,7 +153,7 @@ func TestRunDebugEndpoint(t *testing.T) {
 	inR, inW := io.Pipe()
 	out := &safeBuffer{}
 	errc := make(chan error, 1)
-	go func() { errc <- run("cam-chord", false, "", "127.0.0.1:0", inR, out) }()
+	go func() { errc <- run("cam-chord", false, "127.0.0.1:0", inR, out) }()
 	defer inW.Close()
 
 	if _, err := io.WriteString(inW, "create alice 6\njoin bob alice 4\nsettle\nsend alice ping\n"); err != nil {

@@ -2,6 +2,7 @@ package camcast
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -49,7 +50,7 @@ func TestDeliveryPayloadBorrowContract(t *testing.T) {
 		}
 	}
 
-	var members []*TCPMember
+	var members []*Member
 	for i := 0; i < 4; i++ {
 		self := new(string)
 		via := ""
@@ -83,7 +84,7 @@ func TestDeliveryPayloadBorrowContract(t *testing.T) {
 	// Multicast from member 0, so the violating member 2 receives its copy
 	// through a pooled TCP frame (the origin's self-delivery hands the
 	// caller's own slice, which the pool never touches).
-	if _, err := members[0].Multicast(payload); err != nil {
+	if _, err := members[0].MulticastContext(context.Background(), payload); err != nil {
 		t.Fatal(err)
 	}
 

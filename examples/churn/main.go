@@ -118,7 +118,7 @@ func liveCrashRecovery() error {
 		if err != nil {
 			return err
 		}
-		m.Crash()
+		m.Close()
 	}
 	_, err = src.MulticastContext(context.Background(), []byte("right after crash"))
 	fmt.Printf("immediately after 5 crash: %d/15 survivors reached (stale tables)\n", count(err))

@@ -27,7 +27,7 @@ func main() {
 }
 
 func run() error {
-	runtime.RegisterWireTypes() // gob payload registration for the TCP codec
+	runtime.RegisterWireTypes() // payload decoders for the TCP transport
 	space := ring.MustSpace(24)
 
 	var (

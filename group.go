@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"camcast/internal/metrics"
-	"camcast/internal/runtime"
 	"camcast/internal/transport"
 )
 
@@ -133,43 +132,17 @@ func (g *Group) start(addr, via string, opts Options) (*Member, error) {
 	}
 	g.mu.Unlock()
 
-	m := &Member{net: n, grp: g, addr: addr}
-	cfg.OnDeliver = func(d runtime.Delivery) {
-		if opts.OnDeliver != nil {
-			opts.OnDeliver(Message{ID: d.MsgID, From: d.Source.Addr, Payload: d.Payload, Hops: d.Hops})
-		}
-	}
-	cfg.OnRequest = opts.OnRequest
 	cfg.Counters = g.counters
-	cfg.Bus = n.bus
-	cfg.Metrics = n.reg
-	if opts.Observer != nil {
-		// Subscribe before the node exists so the observer sees the join
-		// itself.
-		m.stopObs = observe(n.bus, n.reg, addr, opts.Observer)
-	}
-	node, err := runtime.NewNode(g.flow, addr, cfg)
-	if err != nil {
-		m.stopObserver()
-		return nil, err
-	}
-	m.node = node
-
-	if via == "" {
-		err = node.Bootstrap()
-	} else {
-		err = node.Join(via)
-	}
-	if err != nil {
-		m.stopObserver()
+	m := &Member{group: g.name, bus: n.bus, reg: n.reg}
+	m.detach = func() { g.remove(addr, m) }
+	if err := m.start(g.flow, addr, via, cfg, opts); err != nil {
 		return nil, err
 	}
 
 	g.mu.Lock()
 	if _, ok := g.members[addr]; ok {
 		g.mu.Unlock()
-		node.Stop()
-		m.stopObserver()
+		m.stop()
 		return nil, fmt.Errorf("%w: %s", ErrMemberExists, addr)
 	}
 	g.members[addr] = m
@@ -273,10 +246,14 @@ func (g *Group) snapshot() []*Member {
 	return out
 }
 
-func (g *Group) remove(addr string) {
+// remove drops m from the group unless another member has since taken its
+// address.
+func (g *Group) remove(addr string, m *Member) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	delete(g.members, addr)
+	if g.members[addr] == m {
+		delete(g.members, addr)
+	}
 }
 
 // CreateGroup registers a new named group and returns its handle. The

@@ -59,9 +59,6 @@ type Config struct {
 	// transport (connection pooling, pipelining, failure suspicion) under
 	// churn.
 	Transport string
-	// Codec selects the TCP wire encoding ("binary" default, "gob" for
-	// the fallback path); ignored for the mem transport.
-	Codec string
 
 	// Bus and Metrics, when set, instrument every member the simulation
 	// creates (and its transports): protocol events flow to Bus, hot-path
@@ -120,9 +117,6 @@ func (c *Config) validate() error {
 	case "", "mem", "tcp":
 	default:
 		return fmt.Errorf("churnsim: unknown transport %q (want mem or tcp)", c.Transport)
-	}
-	if c.Codec != "" && c.Transport != "tcp" {
-		return fmt.Errorf("churnsim: codec %q requires the tcp transport", c.Codec)
 	}
 	if err := c.Faults.validate(c.Transport); err != nil {
 		return err
@@ -205,12 +199,7 @@ func Run(cfg Config) (Result, error) {
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	useTCP := cfg.Transport == "tcp"
-	var codec transport.Codec
 	if useTCP {
-		var err error
-		if codec, err = transport.ParseCodec(cfg.Codec); err != nil {
-			return Result{}, err
-		}
 		runtime.RegisterWireTypes()
 	}
 	var net *transport.Network
@@ -289,7 +278,6 @@ func Run(cfg Config) (Result, error) {
 		// Loopback sockets between live processes fail fast; tighten the
 		// failure detector so crashed members are routed around within a
 		// few maintenance rounds instead of the 2s wide-area default.
-		tr.Codec = codec
 		tr.SuspicionWindow = 250 * time.Millisecond
 		tr.DialTimeout = 500 * time.Millisecond
 		tr.RPCTimeout = time.Second

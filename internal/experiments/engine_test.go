@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"camcast/internal/workload"
 )
@@ -37,6 +38,10 @@ func TestForEachPointReturnsFirstError(t *testing.T) {
 			if i == 3 {
 				return fmt.Errorf("point %d: %w", i, sentinel)
 			}
+			// Every other point takes a little time, as a real sweep point
+			// does. Zero-cost points let the other workers finish all 100
+			// while the worker that drew point 3 waits to be scheduled.
+			time.Sleep(time.Millisecond)
 			return nil
 		})
 		if !errors.Is(err, sentinel) {

@@ -28,7 +28,7 @@ import (
 )
 
 // Kind classifies a protocol event. The constants below are the canonical
-// event vocabulary; internal/trace aliases them for compatibility.
+// event vocabulary.
 type Kind string
 
 // Event kinds emitted by the runtime.

@@ -13,7 +13,7 @@ const (
 	MetricServerServed = "transport.server.requests"     // counter: requests served by accept-side workers
 
 	// Zero-copy data path (shared name between transport and runtime: a
-	// TCPMember's transport and node write into one registry, so blob
+	// TCP member's transport and node write into one registry, so blob
 	// materializations from both layers land in one counter).
 	MetricBytesSent      = "transport.bytes_sent"      // counter: frame bytes written to sockets
 	MetricBytesReceived  = "transport.bytes_received"  // counter: frame bytes read from sockets

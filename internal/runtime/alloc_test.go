@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"testing"
 
-	"camcast/internal/trace"
+	"camcast/internal/obsv"
 )
 
-// TestUnobservedHotPathsAllocFree pins the satellite guarantee behind the
-// observed() guard: with no tracer attached and no bus subscriber, the
+// TestUnobservedHotPathsAllocFree pins the guarantee behind the hot paths'
+// bus.Active() guard: with no bus subscriber, the
 // accounting turns of the delivery path — deliver, duplicate suppression —
 // allocate nothing. Without the guard, emitf's variadic arguments box into
 // a []any at every call site before emitf's own early return runs, which
@@ -18,8 +18,8 @@ func TestUnobservedHotPathsAllocFree(t *testing.T) {
 	c := newCluster(t, ModeCAMChord, 16)
 	n := c.add("alloc-node", 4, "")
 
-	if n.observed() {
-		t.Fatal("node with no tracer and no subscriber reports observed")
+	if n.obs.bus.Active() {
+		t.Fatal("node with no bus subscriber reports observed")
 	}
 
 	d := Delivery{MsgID: "alloc-node#1", Payload: []byte("x"), Hops: 2}
@@ -32,20 +32,22 @@ func TestUnobservedHotPathsAllocFree(t *testing.T) {
 }
 
 // TestObservedHotPathsStillEmit proves the guard only skips work, never
-// events: the same turns emit their trace events once a tracer is attached.
+// events: the same turns emit their events once a bus subscriber watches.
 func TestObservedHotPathsStillEmit(t *testing.T) {
-	tr := trace.NewTracer()
+	bus := obsv.NewBus()
+	sub := bus.Subscribe(1024)
+	defer sub.Close()
 	c := newCluster(t, ModeCAMChord, 16)
-	c.tweak = func(cfg *Config) { cfg.Tracer = tr }
+	c.tweak = func(cfg *Config) { cfg.Bus = bus }
 	n := c.add("traced-node", 4, "")
-	if !n.observed() {
-		t.Fatal("node with tracer attached reports unobserved")
+	if !n.obs.bus.Active() {
+		t.Fatal("node with a bus subscriber reports unobserved")
 	}
-	before := len(tr.Events())
+	sub.Drain(nil) // the join's events
 	n.noteDuplicate("traced-node#9")
-	events := tr.Events()
-	if len(events) != before+1 {
-		t.Fatalf("noteDuplicate emitted %d events, want 1", len(events)-before)
+	events := sub.Drain(nil)
+	if len(events) != 1 {
+		t.Fatalf("noteDuplicate emitted %d events, want 1", len(events))
 	}
 	last := events[len(events)-1]
 	if got := fmt.Sprintf("%s/%s", last.Node, last.Detail); got != "traced-node/traced-node#9" {

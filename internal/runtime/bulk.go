@@ -6,8 +6,8 @@ import (
 	"sort"
 	"sync"
 
+	"camcast/internal/obsv"
 	"camcast/internal/ring"
-	"camcast/internal/trace"
 )
 
 // BulkOptions parameterizes BulkInstall.
@@ -136,7 +136,7 @@ func BulkInstall(nodes []*Node, opts BulkOptions) error {
 	for _, n := range sorted {
 		n.net.Register(n.self.Addr, n.handleRPC)
 		n.startLoops()
-		n.emitf(trace.KindJoin, "bulk install id=%d", n.self.ID)
+		n.emitf(obsv.KindJoin, "bulk install id=%d", n.self.ID)
 	}
 	return nil
 }

@@ -32,10 +32,20 @@ func sumStats(nodes []*Node, f func(Stats) uint64) uint64 {
 // multicast starts disseminating, and the assertion that every survivor
 // still receives the message exactly once with no segment reported lost —
 // the repair machinery covered every orphan.
+//
+// Fan-out is serialized so the dissemination runs in plan order on one
+// goroutine and the crash meets the same interleaving every run. With
+// parallel fan-out, whether a dead child's parent first gets the corpse
+// back from a lookup (and retries, then repairs) or the live successor
+// (because the corpse's predecessor already dropped it) depends on which
+// node's goroutine runs first.
 func runCrashChaos(t *testing.T, mode Mode, capacity int) {
 	t.Helper()
 	c := newCluster(t, mode, 16)
-	c.tweak = chaosTweak
+	c.tweak = func(cfg *Config) {
+		chaosTweak(cfg)
+		cfg.ForwardParallel = -1
+	}
 	c.grow(20, capacity)
 
 	byID := c.sortedByID()
@@ -134,6 +144,46 @@ func runBurstLossChaos(t *testing.T, mode Mode, capacity int) {
 		t.Fatal(err)
 	}
 	c.checkExactlyOnce(msgID)
+}
+
+// TestChaosUnreachableChildCountedLost: a child that stays registered but
+// drops every request (a one-way link failure, not a crash) exhausts its
+// parent's retries. Repair hands the rest of its segment on, so everyone
+// else still gets the message — and the child's own miss is counted lost
+// rather than passing as a clean repair.
+func TestChaosUnreachableChildCountedLost(t *testing.T) {
+	c := newCluster(t, ModeCAMChord, 16)
+	c.tweak = func(cfg *Config) {
+		chaosTweak(cfg)
+		cfg.ForwardParallel = -1
+	}
+	c.grow(12, 3)
+
+	byID := c.sortedByID()
+	origin, deaf := byID[0], byID[5]
+	calls, _ := c.net.Stats()
+	c.net.SetFaultPlan(&transport.FaultPlan{Events: []transport.FaultEvent{
+		{Kind: transport.FaultLoss, At: calls, To: deaf.Self().Addr, Rate: 1},
+	}})
+	msgID, err := origin.Multicast([]byte("one deaf member"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.live() {
+		want := 1
+		if n == deaf {
+			want = 0
+		}
+		if got := c.deliveries(n.Self().Addr, msgID); got != want {
+			t.Errorf("%s received %s %d times, want %d", n.Self().Addr, msgID, got, want)
+		}
+	}
+	if repaired := sumStats(c.live(), func(s Stats) uint64 { return s.SegmentsRepaired }); repaired == 0 {
+		t.Error("the deaf member's segment was never repaired")
+	}
+	if lost := sumStats(c.live(), func(s Stats) uint64 { return s.SegmentsLost }); lost == 0 {
+		t.Error("the deaf member missed the message but no segment was counted lost: silent loss")
+	}
 }
 
 func TestChaosBurstLossChord(t *testing.T) {

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"camcast/internal/metrics"
+	"camcast/internal/obsv"
 	"camcast/internal/ring"
-	"camcast/internal/trace"
 )
 
 // This file is the resilient forwarding engine shared by both CAM modes:
@@ -269,7 +269,7 @@ func (n *Node) noteRetry(msgID, to string, attempt int, err error) {
 	n.retries.Add(1)
 	n.obs.retries.Inc()
 	n.countMetric(metrics.CounterForwardRetries)
-	n.emitf(trace.KindRetry, "%s attempt %d to %s: %v", msgID, attempt, to, err)
+	n.emitf(obsv.KindRetry, "%s attempt %d to %s: %v", msgID, attempt, to, err)
 }
 
 // noteAcked accounts one acknowledged child send.
@@ -348,8 +348,8 @@ func (n *Node) forwardSegment(ctx context.Context, msgID string, source NodeInfo
 		_, err := n.sendTimed(ctx, child.Addr, kindMulticast, req)
 		if err == nil {
 			n.noteAcked()
-			if n.observed() {
-				n.emitf(trace.KindForward, "%s -> segment end %d", msgID, cp.segEnd)
+			if n.obs.bus.Active() {
+				n.emitf(obsv.KindForward, "%s -> segment end %d", msgID, cp.segEnd)
 			}
 			return
 		}
@@ -383,36 +383,59 @@ func (n *Node) forwardSegment(ctx context.Context, msgID string, source NodeInfo
 // handoffs set multicastReq.Repair so a receiver that already delivered
 // the message still re-spreads the wider segment. Only when both fail is
 // the segment counted lost.
+//
+// The handoff covers (failedChild, segEnd], not the failed child itself.
+// When the transport still reports that child registered — it was lossy
+// or partitioned, not gone — it has missed the message, and that miss is
+// counted lost even though the rest of its segment was repaired. A child
+// the transport confirms dead is membership shrinkage and is not counted.
 func (n *Node) repairSegment(ctx context.Context, msgID string, source NodeInfo, payload payloadRef, cp childPlan, failedChild NodeInfo, hops int) {
 	s := n.space
 	x := n.self.ID
 	req := multicastReq{MsgID: msgID, Source: source, Payload: payload.bytes, K: cp.segEnd, Hops: hops + 1, Repair: true, blob: payload.blob}
 
-	target := cp.y
-	if !failedChild.zero() && s.InOC(failedChild.ID, x, cp.segEnd) {
-		target = s.Add(failedChild.ID, 1)
+	target, from := cp.y, s.Sub(cp.y, 1)
+	skipsChild := !failedChild.zero() && s.InOC(failedChild.ID, x, cp.segEnd)
+	if skipsChild {
+		target, from = s.Add(failedChild.ID, 1), failedChild.ID
 	}
 	if info, _, err := n.FindSuccessor(target); err == nil && !info.zero() {
 		if info.Addr == n.self.Addr || !s.InOC(info.ID, x, cp.segEnd) {
-			return // no live members left in the segment; nothing to repair
+			// No live members left past the failed child; nothing to repair.
+			if skipsChild {
+				n.noteChildMissed(msgID, failedChild)
+			}
+			return
 		}
 		if _, err := n.sendTimed(ctx, info.Addr, kindMulticast, req); err == nil {
 			n.noteRepaired(msgID, cp.segEnd, info.Addr)
+			if skipsChild {
+				n.noteChildMissed(msgID, failedChild)
+			}
 			return
 		}
 	}
 	if ctx.Err() != nil {
 		return // caller canceled mid-repair; don't count the segment lost
 	}
-	from := s.Sub(cp.y, 1)
-	if !failedChild.zero() && s.InOC(failedChild.ID, x, cp.segEnd) {
-		from = failedChild.ID
-	}
 	if n.ringWalkHandoff(ctx, msgID, req, failedChild, from, cp.segEnd) {
+		if skipsChild {
+			n.noteChildMissed(msgID, failedChild)
+		}
 		return
 	}
 	n.noteLost()
-	n.emitf(trace.KindLost, "%s segment end %d lost", msgID, cp.segEnd)
+	n.emitf(obsv.KindLost, "%s segment end %d lost", msgID, cp.segEnd)
+}
+
+// noteChildMissed accounts a failed child left out of its segment's
+// repair handoff, unless the transport confirms it dead.
+func (n *Node) noteChildMissed(msgID string, child NodeInfo) {
+	if !n.net.Registered(child.Addr) {
+		return
+	}
+	n.noteLost()
+	n.emitf(obsv.KindLost, "%s child %s unreached", msgID, child.Addr)
 }
 
 // ringWalkHandoff is the last-resort repair path: walk the ring through
@@ -464,7 +487,7 @@ func (n *Node) noteRepaired(msgID string, segEnd ring.ID, to string) {
 	n.obs.repaired.Inc()
 	n.countMetric(metrics.CounterForwardRepaired)
 	n.forwarded.Add(1)
-	n.emitf(trace.KindRepair, "%s segment end %d handed to %s", msgID, segEnd, to)
+	n.emitf(obsv.KindRepair, "%s segment end %d handed to %s", msgID, segEnd, to)
 }
 
 // floodOne runs the offer/accept handshake and payload delivery for one
@@ -516,8 +539,8 @@ func (n *Node) floodOne(ctx context.Context, msgID string, source NodeInfo, payl
 		_, err := n.sendTimed(ctx, nb.Addr, kindFlood, req)
 		if err == nil {
 			n.noteAcked()
-			if n.observed() {
-				n.emitf(trace.KindForward, "%s -> %s", msgID, nb.Addr)
+			if n.obs.bus.Active() {
+				n.emitf(obsv.KindForward, "%s -> %s", msgID, nb.Addr)
 			}
 			return false, true
 		}
@@ -547,7 +570,7 @@ func (n *Node) refloodRepair(ctx context.Context, msgID string, source NodeInfo,
 		for i := 0; i < failedLive; i++ {
 			n.noteLost()
 		}
-		n.emitf(trace.KindLost, "%s %d neighbor(s) unreached", msgID, failedLive)
+		n.emitf(obsv.KindLost, "%s %d neighbor(s) unreached", msgID, failedLive)
 	}
 	if len(relays) == 0 || n.reflooded.Record(msgID) {
 		countLost()
@@ -572,5 +595,5 @@ func (n *Node) refloodRepair(ctx context.Context, msgID string, source NodeInfo,
 		n.obs.repaired.Inc()
 		n.countMetric(metrics.CounterForwardRepaired)
 	}
-	n.emitf(trace.KindRepair, "%s reflooded via %d relay(s) for %d failure(s)", msgID, sent, failedLive)
+	n.emitf(obsv.KindRepair, "%s reflooded via %d relay(s) for %d failure(s)", msgID, sent, failedLive)
 }

@@ -3,7 +3,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"camcast/internal/camkoorde"
 	"camcast/internal/ring"
@@ -40,12 +39,10 @@ func (n *Node) maxLookupHops() int {
 
 // isLookupFailed reports whether an RPC error is a remote lookup
 // exhaustion. In-process transports preserve the sentinel for errors.Is,
-// and the binary wire protocol (v4+) carries a typed status code that the
-// transport rehydrates into the same sentinel; the string match remains
-// only for gob-legacy peers, whose responses flatten errors to messages.
+// and the wire protocol (v4+) carries a typed status code that the TCP
+// transport rehydrates into the same sentinel.
 func isLookupFailed(err error) bool {
-	return errors.Is(err, ErrLookupFailed) ||
-		(err != nil && strings.Contains(err.Error(), "lookup failed"))
+	return errors.Is(err, ErrLookupFailed)
 }
 
 // FindSuccessor resolves the node currently responsible for identifier k,
@@ -103,8 +100,8 @@ func (n *Node) handleFindSucc(req findSuccReq) (any, error) {
 	// carries a cursor — imaginary identifier plus remaining key digits —
 	// that each hop advances one base-k digit through its own slot table.
 	// The greedy closest-preceding walk below remains the fallback for
-	// CAM-Chord, for legacy requests without a cursor, and for hops whose
-	// digit target is unreachable.
+	// CAM-Chord, for greedy walks already under way (cursorless onward
+	// hops), and for hops whose digit target is unreachable.
 	if n.cfg.Mode == ModeCAMKoorde {
 		if resp, err, handled := n.digitRoute(req, self, pred, hasPred); handled {
 			return resp, err
@@ -117,15 +114,18 @@ func (n *Node) handleFindSucc(req findSuccReq) (any, error) {
 // digitRoute advances a CAM-Koorde lookup by digit shifts. It initializes
 // the cursor on a fresh entry-point request (Hops == 0, no cursor yet) and
 // otherwise takes over only requests that already carry one; handled is
-// false when the request must route greedily instead (legacy cursorless
-// request, or the digit step's owner was unreachable — in which case the
-// greedy fallback runs here directly, seeded with the subtree penalty).
+// false when the request must route greedily instead (a cursorless onward
+// hop of a greedy walk, or the digit step's owner was unreachable — in
+// which case the greedy fallback runs here directly, seeded with the
+// subtree penalty).
 func (n *Node) digitRoute(req findSuccReq, self, pred NodeInfo, hasPred bool) (resp any, err error, handled bool) {
 	k := req.K
 	b := n.space.Bits()
 	if !req.HasCursor {
 		if req.Hops > 0 {
-			return nil, nil, false // legacy in-flight request: greedy
+			// An onward hop of greedyRoute, which forwards cursorless
+			// requests: once a lookup falls back to greedy it stays greedy.
+			return nil, nil, false
 		}
 		// Entry point: start the imaginary chain at our own identifier and
 		// plan to inject only k's top cursorBits() — enough to land within a

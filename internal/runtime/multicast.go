@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"time"
 
+	"camcast/internal/obsv"
 	"camcast/internal/ring"
-	"camcast/internal/trace"
 	"camcast/internal/transport"
 )
 
@@ -73,8 +73,8 @@ func (n *Node) MulticastContext(ctx context.Context, payload []byte) (string, er
 func (n *Node) deliver(d Delivery) {
 	n.delivered.Add(1)
 	n.obs.delivered.Inc()
-	if n.observed() {
-		n.emitf(trace.KindDeliver, "%s hops=%d", d.MsgID, d.Hops)
+	if n.obs.bus.Active() {
+		n.emitf(obsv.KindDeliver, "%s hops=%d", d.MsgID, d.Hops)
 	}
 	if n.cfg.OnDeliver != nil {
 		n.cfg.OnDeliver(d)
@@ -85,8 +85,8 @@ func (n *Node) deliver(d Delivery) {
 func (n *Node) noteDuplicate(msgID string) {
 	n.duplicates.Add(1)
 	n.obs.duplicates.Inc()
-	if n.observed() {
-		n.emitf(trace.KindDuplicate, "%s", msgID)
+	if n.obs.bus.Active() {
+		n.emitf(obsv.KindDuplicate, "%s", msgID)
 	}
 }
 

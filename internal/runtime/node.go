@@ -26,7 +26,6 @@ import (
 	"camcast/internal/obsv"
 	"camcast/internal/ring"
 	"camcast/internal/timing"
-	"camcast/internal/trace"
 	"camcast/internal/transport"
 )
 
@@ -166,14 +165,12 @@ type Config struct {
 	// it to retain it (see Delivery).
 	OnDeliver func(Delivery)
 	// OnRequest serves application-level unicast requests sent with
-	// Node.Request (e.g. retransmission NACKs from a reliability layer).
-	// nil rejects such requests.
+	// Node.RequestContext (e.g. retransmission NACKs from a reliability
+	// layer). nil rejects such requests.
 	OnRequest func(from string, payload []byte) ([]byte, error)
-	// Tracer optionally records protocol events; nil discards.
-	Tracer *trace.Tracer
-	// Bus optionally publishes the same protocol events to live
-	// subscribers (debug endpoints, observers); nil discards. Emission is
-	// one atomic load when nobody is subscribed.
+	// Bus optionally publishes protocol events (joins, forwards, repairs,
+	// deliveries) to live subscribers (debug endpoints, observers, tests);
+	// nil discards. Emission is one atomic load when nobody is subscribed.
 	Bus *obsv.Bus
 	// Metrics optionally accumulates hot-path measurements — forwarding
 	// outcomes, lookup hop counts, multicast tree build time — under the
@@ -301,6 +298,9 @@ type Node struct {
 	cursor    int      // round-robin table refresh position
 	started   bool
 	stopped   bool
+	// predCheck is set when a notify was refused in favour of the current
+	// predecessor; the next stabilization round pings that predecessor.
+	predCheck bool
 
 	seen      *seenCache
 	reflooded *seenCache // message IDs this node already issued a reflood repair for
@@ -538,7 +538,7 @@ func (n *Node) Bootstrap() error {
 
 	n.net.Register(n.self.Addr, n.handleRPC)
 	n.startLoops()
-	n.emitf(trace.KindJoin, "bootstrap id=%d", n.self.ID)
+	n.emitf(obsv.KindJoin, "bootstrap id=%d", n.self.ID)
 	return nil
 }
 
@@ -552,23 +552,45 @@ func (n *Node) Join(bootstrapAddr string) error {
 	n.mu.Unlock()
 
 	start := time.Now()
-	resp, err := n.call(bootstrapAddr, kindFindSucc, findSuccReq{K: n.self.ID})
+	succ, err := n.joinLookup(bootstrapAddr, n.self.ID)
 	if err != nil {
-		return fmt.Errorf("runtime: join via %s: %w", bootstrapAddr, err)
+		return err
 	}
-	fsResp, ok := resp.(findSuccResp)
-	if !ok {
-		return fmt.Errorf("runtime: join via %s: bad response type %T", bootstrapAddr, resp)
+	// Confirm the successor answers before committing, and take its
+	// successor list as fallbacks. A lookup can name a member that has
+	// just died (its predecessor has not stabilized yet); a joiner holding
+	// only that corpse drops it on its first stabilization and is left a
+	// ring of one that no member knows of. A successor the failure
+	// detector reports gone is skipped by resolving the identifier just
+	// past it.
+	var nb neighborsResp
+	for skips := 0; ; skips++ {
+		resp, err := n.call(succ.Addr, kindNeighbors, neighborsReq{})
+		if err == nil {
+			nb, _ = resp.(neighborsResp)
+			break
+		}
+		if skips == n.cfg.SuccListLen || n.net.Registered(succ.Addr) {
+			return fmt.Errorf("runtime: join via %s: successor %s: %w", bootstrapAddr, succ.Addr, err)
+		}
+		if succ, err = n.joinLookup(bootstrapAddr, n.space.Add(succ.ID, 1)); err != nil {
+			return err
+		}
 	}
-	succ := fsResp.Node
-	if succ.ID == n.self.ID && succ.Addr != n.self.Addr {
-		return fmt.Errorf("runtime: identifier collision with %s (id %d)", succ.Addr, succ.ID)
+	succs := []NodeInfo{succ}
+	for _, s := range nb.Succs {
+		if len(succs) >= n.cfg.SuccListLen {
+			break
+		}
+		if s.Addr != n.self.Addr && s.Addr != succ.Addr {
+			succs = append(succs, s)
+		}
 	}
 
 	n.mu.Lock()
 	n.started = true
 	n.setPredLocked(NodeInfo{})
-	n.setSuccsLocked([]NodeInfo{succ})
+	n.setSuccsLocked(succs)
 	n.noteTopologyChange()
 	n.mu.Unlock()
 
@@ -577,8 +599,25 @@ func (n *Node) Join(bootstrapAddr string) error {
 	n.StabilizeOnce()
 	n.startLoops()
 	n.obs.joinTime.ObserveDuration(time.Since(start))
-	n.emitf(trace.KindJoin, "joined via %s, successor %s", bootstrapAddr, succ.Addr)
+	n.emitf(obsv.KindJoin, "joined via %s, successor %s", bootstrapAddr, succ.Addr)
 	return nil
+}
+
+// joinLookup resolves the successor of k through the bootstrap member.
+func (n *Node) joinLookup(bootstrapAddr string, k ring.ID) (NodeInfo, error) {
+	resp, err := n.call(bootstrapAddr, kindFindSucc, findSuccReq{K: k})
+	if err != nil {
+		return NodeInfo{}, fmt.Errorf("runtime: join via %s: %w", bootstrapAddr, err)
+	}
+	fsResp, ok := resp.(findSuccResp)
+	if !ok {
+		return NodeInfo{}, fmt.Errorf("runtime: join via %s: bad response type %T", bootstrapAddr, resp)
+	}
+	succ := fsResp.Node
+	if succ.ID == n.self.ID && succ.Addr != n.self.Addr {
+		return NodeInfo{}, fmt.Errorf("runtime: identifier collision with %s (id %d)", succ.Addr, succ.ID)
+	}
+	return succ, nil
 }
 
 // Leave departs gracefully: ring neighbors are told to splice the node out,
@@ -609,7 +648,7 @@ func (n *Node) Leave() error {
 		_, _ = n.call(pred.Addr, kindLeaving, leavingReq{Departing: n.self, NewSucc: succ})
 	}
 	n.obs.leaveTime.ObserveDuration(time.Since(start))
-	n.emit(trace.KindLeave, "graceful")
+	n.emit(obsv.KindLeave, "graceful")
 	n.Stop()
 	return nil
 }
@@ -860,6 +899,13 @@ func (n *Node) handleNotify(req notifyReq) (any, error) {
 		n.space.InOO(c.ID, pred.ID, n.self.ID) {
 		n.setPredLocked(c)
 		accepted = true
+	} else if c.Addr != pred.Addr {
+		// c believes it directly precedes this node, yet pred sits between
+		// them: either c is behind on stabilization or pred is dead and no
+		// RPC has told the failure detector yet. Nothing here ever calls
+		// the predecessor, so a dead one would veto every live candidate
+		// for good; have the next stabilization round check it.
+		n.predCheck = true
 	}
 	// A second real member supersedes a self-successor.
 	if head, ok := n.succHeadLocked(); ok && head.Addr == n.self.Addr {
@@ -891,7 +937,7 @@ func (n *Node) handleLeaving(req leavingReq) (any, error) {
 		}
 	}
 	n.noteTopologyChange()
-	n.emitf(trace.KindRepair, "spliced out %s", req.Departing.Addr)
+	n.emitf(obsv.KindRepair, "spliced out %s", req.Departing.Addr)
 	return leavingResp{Acked: true}, nil
 }
 
@@ -940,6 +986,18 @@ func (n *Node) StabilizeOnce() {
 				nb = nb2
 			}
 		}
+	}
+
+	// A refused notify asked for the predecessor to be checked: one call
+	// either proves it alive or lets the failure detector mark it, so the
+	// pass below drops it.
+	n.mu.Lock()
+	check := n.predCheck
+	n.predCheck = false
+	pred, hasPred := n.predLocked()
+	n.mu.Unlock()
+	if check && hasPred && pred.Addr != n.self.Addr {
+		_, _ = n.call(pred.Addr, kindNeighbors, neighborsReq{})
 	}
 
 	// Rebuild the successor list: succ followed by its list, minus self.
@@ -1002,20 +1060,16 @@ func (n *Node) dropSuccessor(dead NodeInfo) {
 	if head, ok := n.succHeadLocked(); ok && head.Addr == dead.Addr {
 		n.popSuccLocked()
 		n.noteTopologyChange()
-		n.emitf(trace.KindRepair, "dropped dead successor %s", dead.Addr)
+		n.emitf(obsv.KindRepair, "dropped dead successor %s", dead.Addr)
 	}
 }
 
-// Request sends an application-level unicast request to the member at addr
-// and returns its response. The remote member must have an OnRequest
-// handler configured. Used by layers built on top of multicast, e.g.
-// retransmission NACKs in a reliability protocol.
-func (n *Node) Request(addr string, payload []byte) ([]byte, error) {
-	return n.RequestContext(context.Background(), addr, payload)
-}
-
-// RequestContext is Request bounded by the caller's context (in addition
-// to Config.CallTimeout, whichever expires first).
+// RequestContext sends an application-level unicast request to the member
+// at addr and returns its response. The remote member must have an
+// OnRequest handler configured. Used by layers built on top of multicast,
+// e.g. retransmission NACKs in a reliability protocol. The caller's
+// context bounds the call, in addition to Config.CallTimeout, whichever
+// expires first.
 func (n *Node) RequestContext(ctx context.Context, addr string, payload []byte) ([]byte, error) {
 	n.mu.Lock()
 	if n.stopped {

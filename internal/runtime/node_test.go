@@ -2,11 +2,12 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"camcast/internal/obsv"
 	"camcast/internal/ring"
-	"camcast/internal/trace"
 	"camcast/internal/transport"
 )
 
@@ -255,11 +256,9 @@ func TestConcurrentMulticastSources(t *testing.T) {
 func TestBackgroundLoopsRunAndStop(t *testing.T) {
 	net := transport.NewNetwork(1)
 	space := ring.MustSpace(16)
-	tr := trace.NewTracer()
 	cfg := Config{
 		Space: space, Mode: ModeCAMChord, Capacity: 4,
 		StabilizeEvery: time.Millisecond, FixEvery: time.Millisecond,
-		Tracer: tr,
 	}
 	a, err := NewNode(net, "a", cfg)
 	if err != nil {
@@ -292,6 +291,44 @@ func TestBackgroundLoopsRunAndStop(t *testing.T) {
 	// Stop must terminate the loops (and not hang).
 	b.Stop()
 	a.Stop()
+}
+
+// TestJoinSkipsDeadSuccessor: a join whose lookup names a member that has
+// just crashed (its predecessor still points at it) must not leave the
+// joiner holding only the corpse — it would drop it on the first
+// stabilization and sit in a ring of one that no member ever notifies. The
+// joiner resolves past the corpse to the live member behind it.
+func TestJoinSkipsDeadSuccessor(t *testing.T) {
+	c := newCluster(t, ModeCAMChord, 16)
+	c.grow(8, 3)
+	byID := c.sortedByID()
+	pred, victim, next := byID[2], byID[3], byID[4]
+
+	var joiner *Node
+	for i := 0; joiner == nil; i++ {
+		if i == 10000 {
+			t.Fatal("no joiner address hashes between the victim and its predecessor")
+		}
+		n, err := NewNode(c.net, fmt.Sprintf("joiner-%d", i), c.config(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.space.InOO(n.Self().ID, pred.Self().ID, victim.Self().ID) {
+			joiner = n
+		}
+	}
+	t.Cleanup(joiner.Stop)
+
+	victim.Stop()
+	if got, _, err := pred.FindSuccessor(joiner.Self().ID); err != nil || got.Addr != victim.Self().Addr {
+		t.Fatalf("lookup from the predecessor = %v, %v; the test needs it to name the corpse", got, err)
+	}
+	if err := joiner.Join(byID[0].Self().Addr); err != nil {
+		t.Fatal(err)
+	}
+	if succs := joiner.SuccessorList(); len(succs) == 0 || succs[0].Addr != next.Self().Addr {
+		t.Fatalf("joiner successors %v, want %s first", succs, next.Self().Addr)
+	}
 }
 
 func TestJoinUnreachableBootstrap(t *testing.T) {
@@ -330,10 +367,23 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
+// TestTracerRecordsProtocolEvents checks that a subscriber to the nodes'
+// event bus sees their joins and deliveries.
 func TestTracerRecordsProtocolEvents(t *testing.T) {
 	net := transport.NewNetwork(1)
-	tr := trace.NewTracer()
-	cfg := Config{Space: ring.MustSpace(16), Mode: ModeCAMChord, Capacity: 4, Tracer: tr}
+	bus := obsv.NewBus()
+	sub := bus.Subscribe(1024)
+	defer sub.Close()
+	count := func(kind obsv.Kind) int {
+		n := 0
+		for _, e := range sub.Drain(nil) {
+			if e.Kind == kind {
+				n++
+			}
+		}
+		return n
+	}
+	cfg := Config{Space: ring.MustSpace(16), Mode: ModeCAMChord, Capacity: 4, Bus: bus}
 	a, _ := NewNode(net, "a", cfg)
 	if err := a.Bootstrap(); err != nil {
 		t.Fatal(err)
@@ -342,13 +392,13 @@ func TestTracerRecordsProtocolEvents(t *testing.T) {
 	if err := b.Join("a"); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Count(trace.KindJoin) != 2 {
-		t.Errorf("join events = %d, want 2", tr.Count(trace.KindJoin))
+	if got := count(obsv.KindJoin); got != 2 {
+		t.Errorf("join events = %d, want 2", got)
 	}
 	if _, err := a.Multicast([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Count(trace.KindDeliver) == 0 {
+	if count(obsv.KindDeliver) == 0 {
 		t.Error("no deliver events recorded")
 	}
 	b.Stop()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"camcast/internal/obsv"
-	"camcast/internal/trace"
 )
 
 // nodeObs caches a node's observability handles: the live event bus plus
@@ -54,31 +53,22 @@ func newNodeObs(bus *obsv.Bus, reg *obsv.Registry) nodeObs {
 	}
 }
 
-// emit publishes one protocol event to both consumers: the synchronous
-// tracer (test assertions) and the live bus (streaming subscribers).
-func (n *Node) emit(kind trace.Kind, detail string) {
-	n.cfg.Tracer.Emit(n.self.Addr, kind, detail)
+// emit publishes one protocol event to the live bus.
+func (n *Node) emit(kind obsv.Kind, detail string) {
 	n.obs.bus.Emit(n.self.Addr, kind, detail)
 }
 
 // emitf is emit with lazy formatting: the detail string is built only when
-// a tracer is attached or a bus subscriber is watching, so unobserved
-// protocol paths skip the fmt call entirely.
-func (n *Node) emitf(kind trace.Kind, format string, args ...any) {
-	if !n.observed() {
+// a bus subscriber is watching, so unobserved protocol paths skip the fmt
+// call entirely. That guard alone does not keep a hot path allocation-free:
+// emitf's variadic args box into a []any at the call site before the guard
+// runs. Hot paths (deliver, duplicate suppression, the forward/flood ack
+// turns) therefore wrap their emitf calls in an `if n.obs.bus.Active()` of
+// their own, which moves the boxing behind the check — what the 0
+// allocs/op dissemination gates measure.
+func (n *Node) emitf(kind obsv.Kind, format string, args ...any) {
+	if !n.obs.bus.Active() {
 		return
 	}
 	n.emit(kind, fmt.Sprintf(format, args...))
-}
-
-// observed reports whether anything is listening to this node's protocol
-// events. emitf checks it internally, but that alone does not keep a hot
-// path allocation-free: emitf's variadic args box into a []any at the call
-// site before the guard runs. Hot paths (deliver, duplicate suppression,
-// the forward/flood ack turns) therefore wrap their emitf calls in an
-// `if n.observed()` of their own — the check is small enough to inline, and
-// the boxing moves behind it, which is what the 0 allocs/op dissemination
-// gates measure.
-func (n *Node) observed() bool {
-	return n.cfg.Tracer != nil || n.obs.bus.Active()
 }

@@ -4,8 +4,8 @@ import (
 	"sort"
 	"sync"
 
+	"camcast/internal/obsv"
 	"camcast/internal/ring"
-	"camcast/internal/trace"
 )
 
 // tableKey addresses one CAM-Chord neighbor slot x_{level,seq}.
@@ -181,7 +181,7 @@ func (n *Node) fix(batch int) {
 		n.noteTopologyChange()
 		if old.Addr != info.Addr {
 			key := all[idx].key
-			n.emitf(trace.KindRepair,
+			n.emitf(obsv.KindRepair,
 				"slot (%d,%d) id=%d -> %s", key.level, key.seq, id, info.Addr)
 		}
 	}

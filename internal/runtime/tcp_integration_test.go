@@ -1,6 +1,9 @@
 package runtime
 
 import (
+	"errors"
+	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
@@ -94,7 +97,7 @@ func TestMulticastOverTCP(t *testing.T) {
 }
 
 // TestLookupOverTCP verifies that recursive find_successor chains work
-// across sockets, including the gob round-trip of every wire type involved.
+// across sockets, including the wire round trip of every type involved.
 func TestLookupOverTCP(t *testing.T) {
 	RegisterWireTypes()
 	space := ring.MustSpace(16)
@@ -149,5 +152,136 @@ func TestLookupOverTCP(t *testing.T) {
 					target.Self().ID, from.Self().Addr, resp.Addr, target.Self().Addr)
 			}
 		}
+	}
+}
+
+// TestRemoteLookupExhaustionIsTyped checks that a lookup which runs out of
+// hops at a remote node reaches the caller as ErrLookupFailed under
+// errors.Is, on both transports: the mem transport hands the sentinel
+// through, the TCP transport carries it as a wire status code. The caller
+// sends its successor a request with the whole hop budget already spent,
+// for a key the successor must forward, so the exhaustion happens one hop
+// further on and travels back through the successor.
+func TestRemoteLookupExhaustionIsTyped(t *testing.T) {
+	RegisterWireTypes()
+	mem := transport.NewNetwork(1)
+	for _, tc := range []struct {
+		name  string
+		start func(t *testing.T, i int) (Transport, string)
+	}{
+		{"mem", func(t *testing.T, i int) (Transport, string) { return mem, fmt.Sprintf("n%d", i) }},
+		{"tcp", func(t *testing.T, i int) (Transport, string) {
+			tr, err := transport.NewTCP("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { tr.Close() })
+			return tr, tr.Addr()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes := make([]*Node, 4)
+			for i := range nodes {
+				tr, addr := tc.start(t, i)
+				n, err := NewNode(tr, addr, Config{Space: ring.MustSpace(16), Mode: ModeCAMChord, Capacity: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(n.Stop)
+				if i == 0 {
+					err = n.Bootstrap()
+				} else {
+					err = n.Join(nodes[0].Self().Addr)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				nodes[i] = n
+			}
+			for r := 0; r < 4; r++ {
+				for _, n := range nodes {
+					n.StabilizeOnce()
+				}
+				for _, n := range nodes {
+					n.FixAll()
+				}
+			}
+			a := nodes[0]
+			succ := a.SuccessorList()[0]
+			// a's own identifier lies outside its successor's segment and
+			// the one after it, so the successor has to forward.
+			_, err := a.call(succ.Addr, kindFindSucc, findSuccReq{K: a.Self().ID, Hops: a.maxLookupHops()})
+			if err == nil {
+				t.Fatal("lookup with an exhausted hop budget succeeded")
+			}
+			if !errors.Is(err, ErrLookupFailed) || !isLookupFailed(err) {
+				t.Fatalf("err = %v (%T), want one matching ErrLookupFailed", err, err)
+			}
+		})
+	}
+}
+
+// TestVetoedNotifyChecksDeadPredecessor: over TCP, Registered only knows
+// about recent call failures, and nothing calls a predecessor, so a crashed
+// predecessor used to veto every notify from the live member behind it for
+// good. The refused notify now makes the next stabilization round ping the
+// predecessor, which lets the failure detector drop it.
+func TestVetoedNotifyChecksDeadPredecessor(t *testing.T) {
+	RegisterWireTypes()
+	space := ring.MustSpace(16)
+	var nodes []*Node
+	var transports []*transport.TCP
+	t.Cleanup(func() {
+		for _, n := range nodes {
+			n.Stop()
+		}
+		for _, tr := range transports {
+			tr.Close()
+		}
+	})
+	for i := 0; i < 3; i++ {
+		tr, err := transport.NewTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		transports = append(transports, tr)
+		n, err := NewNode(tr, tr.Addr(), Config{Space: space, Mode: ModeCAMChord, Capacity: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, n)
+		if i == 0 {
+			err = n.Bootstrap()
+		} else {
+			err = n.Join(transports[0].Addr())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 2; r++ {
+			for _, m := range nodes {
+				m.StabilizeOnce()
+			}
+		}
+	}
+	byID := append([]*Node(nil), nodes...)
+	sort.Slice(byID, func(i, j int) bool { return byID[i].Self().ID < byID[j].Self().ID })
+	p, d, x := byID[0], byID[1], byID[2]
+	if pr, ok := x.Predecessor(); !ok || pr.Addr != d.Self().Addr {
+		t.Fatalf("before the crash %s has predecessor %v, want %s", x.Self().Addr, pr, d.Self().Addr)
+	}
+
+	d.Stop()
+	for i, n := range nodes {
+		if n == d {
+			transports[i].Close()
+		}
+	}
+	p.StabilizeOnce() // the call to d fails: p drops it and moves on to x
+	p.StabilizeOnce() // p notifies x, which refuses in favour of d
+	x.StabilizeOnce() // x pings d; the failed call marks it and x drops it
+	p.StabilizeOnce() // p notifies x again
+	if pr, ok := x.Predecessor(); !ok || pr.Addr != p.Self().Addr {
+		t.Fatalf("after the crash %s has predecessor %v, want %s", x.Self().Addr, pr, p.Self().Addr)
 	}
 }

@@ -30,7 +30,7 @@ type NodeInfo struct {
 func (i NodeInfo) zero() bool { return i.Addr == "" }
 
 type pingReq struct {
-	// Probe is reserved; gob requires at least one exported field.
+	// Probe is reserved: no sender sets it and no handler reads it.
 	Probe bool
 }
 
@@ -47,8 +47,10 @@ type findSuccReq struct {
 	// imaginary identifier i and Left counts how many of K's top bits
 	// remain to be shifted in (the remaining digits of kshift). HasCursor
 	// distinguishes a cursor at any state — including exhausted — from a
-	// legacy request; requests without one (CAM-Chord, legacy peers) route
-	// greedily.
+	// greedy request. Requests without one route greedily: every CAM-Chord
+	// lookup, and greedyRoute's own onward hops, which drop the cursor so
+	// a lookup that fell back to greedy stays greedy. An entry-point request
+	// (Hops == 0) without a cursor gets one on a CAM-Koorde node.
 	HasCursor bool
 	Img       ring.ID
 	Left      uint32
@@ -60,7 +62,7 @@ type findSuccResp struct {
 }
 
 type neighborsReq struct {
-	// Full is reserved; gob requires at least one exported field.
+	// Full is reserved: no sender sets it and no handler reads it.
 	Full bool
 }
 
@@ -95,7 +97,7 @@ type multicastReq struct {
 	// writer sends the blob's bytes under Payload's framing). Decoded
 	// requests hold one reference, released by the transport after the
 	// handler returns; re-sends share the same blob so a relay never
-	// re-encodes the payload. Never transits gob (unexported).
+	// re-encodes the payload. Unexported: it is never encoded itself.
 	blob *transport.Blob
 }
 

@@ -1,17 +1,19 @@
 package runtime
 
 import (
+	"sync"
+
 	"camcast/internal/ring"
 	"camcast/internal/transport"
 )
 
 // Hand-rolled binary marshaling for every runtime RPC payload (the types in
 // wire.go). The message set is closed, so each type gets a one-byte tag and
-// implements transport.WireMarshaler; registerBinaryWireTypes installs the
+// implements transport.WireMarshaler; RegisterWireTypes installs the
 // matching decoders. The encoding mirrors the field order of the structs —
 // varints for integers, length-prefixed strings/bytes, presence bytes for
-// optional fields — and round-trips values identically to the gob fallback
-// it replaces (wirecodec_test.go verifies this per type).
+// optional fields — and decodes to the same values encoding/gob would
+// (wirecodec_test.go checks this per type against gob as a reference).
 
 // Wire type tags, one per payload type, starting at WireTagUserMin.
 const (
@@ -197,7 +199,7 @@ func decodeNotifyResp(b []byte) (any, error) {
 // AppendWireHead emits everything up to and including the payload's length
 // framing, and the payload bytes themselves ride out of the shared blob via
 // the transport's scatter-gather writer. AppendWire stays the canonical
-// (equivalent) whole-value encoding for the gob A/B tests, fuzzers, and
+// (equivalent) whole-value encoding for the codec tests, fuzzers, and
 // blob-less sends.
 
 func (multicastReq) WireTag() byte { return tagMulticastReq }
@@ -383,8 +385,23 @@ func decodeAppResp(b []byte) (any, error) {
 	return p, r.Finish()
 }
 
-// registerBinaryWireTypes installs the binary decoders with the transport.
-func registerBinaryWireTypes() {
+var wireOnce sync.Once
+
+// statusLookupFailed is the wire status code (v4 response frames) that
+// classifies ErrLookupFailed across the TCP transport, so isLookupFailed
+// can errors.Is-match remote exhaustion.
+const statusLookupFailed = 1
+
+// RegisterWireTypes registers every runtime RPC payload type's decoder,
+// and the ErrLookupFailed status code, with the transport layer so that
+// nodes can run over the TCP transport (internal/transport.TCP). Safe to
+// call multiple times; the in-memory transport does not need it.
+func RegisterWireTypes() {
+	wireOnce.Do(registerWireTypes)
+}
+
+func registerWireTypes() {
+	transport.RegisterStatusError(statusLookupFailed, ErrLookupFailed)
 	transport.RegisterWireDecoder(tagPingReq, decodePingReq)
 	transport.RegisterWireDecoder(tagPingResp, decodePingResp)
 	transport.RegisterWireDecoder(tagFindSuccReq, decodeFindSuccReq)

@@ -1,7 +1,5 @@
 package transport
 
-import "encoding/gob"
-
 // benchWireTag lives at the top of the user range so it can never collide
 // with the runtime's registered wire types.
 const benchWireTag byte = 0xF0
@@ -20,8 +18,7 @@ func decodeBenchPayload(b []byte) (any, error) {
 	return p, r.Finish()
 }
 
-// registerBenchPayload makes benchPayload carriable over both codecs.
+// registerBenchPayload makes benchPayload carriable over the wire.
 func registerBenchPayload() {
-	gob.Register(benchPayload{})
 	RegisterWireDecoder(benchWireTag, decodeBenchPayload)
 }

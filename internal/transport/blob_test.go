@@ -117,7 +117,7 @@ func TestFrameWriterMaxFrame(t *testing.T) {
 	w := newFrameWriter(conn, func() time.Duration { return 0 }, 0, &instruments{})
 	defer w.close()
 
-	err := w.writeRequest(1, 0, "from", "to", "kind", p, CodecBinary, true)
+	err := w.writeRequest(1, 0, "from", "to", "kind", p, true)
 	var encErr *encodeError
 	if !errors.As(err, &encErr) {
 		t.Fatalf("oversized frame: err = %v, want encodeError", err)
@@ -128,7 +128,7 @@ func TestFrameWriterMaxFrame(t *testing.T) {
 	}
 
 	// The writer is still clean: a small frame goes through.
-	if err := w.writeRequest(2, 0, "from", "to", "kind", blobTestPayload{Key: "ok"}, CodecBinary, true); err != nil {
+	if err := w.writeRequest(2, 0, "from", "to", "kind", blobTestPayload{Key: "ok"}, true); err != nil {
 		t.Fatalf("write after rejected frame: %v", err)
 	}
 	if conn.Len() == 0 {

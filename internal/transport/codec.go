@@ -1,61 +1,10 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"camcast/internal/obsv"
 )
-
-// Codec selects how RPC payloads are encoded on the wire. The frame format
-// and pipelining are codec-independent: the codec only chooses the encoding
-// of the payload field, and every frame carries a payload type tag, so the
-// two ends of a connection may even disagree — a binary peer decodes gob
-// payloads and vice versa. The knob exists for A/B measurement
-// (BenchmarkWireCodec) and as an escape hatch.
-type Codec int
-
-const (
-	// CodecBinary (the default) encodes registered payload types with
-	// their hand-rolled binary marshalers and falls back to gob for
-	// unregistered types.
-	CodecBinary Codec = iota
-	// CodecGob encodes every payload with gob, as the pre-pipelining
-	// transport did. Types must be registered with encoding/gob.
-	CodecGob
-)
-
-// String implements fmt.Stringer.
-func (c Codec) String() string {
-	switch c {
-	case CodecBinary:
-		return "binary"
-	case CodecGob:
-		return "gob"
-	default:
-		return fmt.Sprintf("Codec(%d)", int(c))
-	}
-}
-
-// ParseCodec maps a flag value to a Codec; "" means the default.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "binary":
-		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
-	default:
-		return 0, fmt.Errorf("transport: unknown codec %q (want binary or gob)", s)
-	}
-}
-
-// gobBox carries a payload as a gob interface value, so the concrete type
-// travels with it (every fallback type must be gob.Registered, exactly as
-// the old transport required for all payloads).
-type gobBox struct {
-	V any
-}
 
 // BlobMarshaler is implemented by payload types that carry their payload
 // bytes in a shared refcounted Blob, letting the frame writer scatter-gather
@@ -113,23 +62,19 @@ func RegisterBlobDecoder(tag byte, dec func(b []byte, owner *Blob) (any, error))
 	blobDecoders[tag] = dec
 }
 
-// appendPayload appends the tag+body encoding of payload.
-func appendPayload(b []byte, payload any, codec Codec) ([]byte, error) {
+// appendPayload appends the tag+body encoding of payload. A payload type
+// with no binary encoding (no WireMarshaler) is an error, which the frame
+// writer reports as a non-poisoning encodeError.
+func appendPayload(b []byte, payload any) ([]byte, error) {
 	if payload == nil {
 		return append(b, wireTagNil), nil
 	}
-	if codec == CodecBinary {
-		if m, ok := payload.(WireMarshaler); ok {
-			b = append(b, m.WireTag())
-			return m.AppendWire(b), nil
-		}
+	m, ok := payload.(WireMarshaler)
+	if !ok {
+		return nil, fmt.Errorf("transport: payload type %T has no binary wire encoding", payload)
 	}
-	b = append(b, wireTagGob)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&gobBox{V: payload}); err != nil {
-		return nil, fmt.Errorf("transport: encode payload %T: %w", payload, err)
-	}
-	return append(b, buf.Bytes()...), nil
+	b = append(b, m.WireTag())
+	return m.AppendWire(b), nil
 }
 
 // decodePayloadOwned decodes one tag+body payload encoding whose bytes live
@@ -154,23 +99,15 @@ func decodePayload(b []byte) (any, error) {
 		return nil, fmt.Errorf("%w: empty payload", ErrWireDecode)
 	}
 	tag, body := b[0], b[1:]
-	switch tag {
-	case wireTagNil:
+	if tag == wireTagNil {
 		if len(body) != 0 {
 			return nil, fmt.Errorf("%w: %d bytes after nil tag", ErrWireDecode, len(body))
 		}
 		return nil, nil
-	case wireTagGob:
-		var box gobBox
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&box); err != nil {
-			return nil, fmt.Errorf("transport: decode gob payload: %w", err)
-		}
-		return box.V, nil
-	default:
-		dec := wireDecoders[tag]
-		if dec == nil {
-			return nil, fmt.Errorf("%w: unregistered payload tag %#x", ErrWireDecode, tag)
-		}
-		return dec(body)
 	}
+	dec := wireDecoders[tag]
+	if dec == nil {
+		return nil, fmt.Errorf("%w: unregistered payload tag %#x", ErrWireDecode, tag)
+	}
+	return dec(body)
 }

@@ -23,7 +23,7 @@ import (
 // Frames are encoded directly into the writer's buffer (no per-connection
 // scratch-then-copy step): each frame reserves its 4-byte length prefix,
 // encodes, and patches the prefix. Payloads carried by a refcounted Blob
-// (BlobMarshaler values on the binary codec) never enter the buffer at all:
+// (BlobMarshaler values) never enter the buffer at all:
 // the frame records a reference to the blob's bytes at the current buffer
 // offset, and the flush writes buffered heads and shared payload bytes with
 // one scatter-gather writev (net.Buffers), releasing each blob once its
@@ -131,7 +131,7 @@ const (
 	// bufio.Writer writing through when full.
 	writeThreshold = 64 * 1024
 	// maxRetainedBuf caps the head buffer kept across flushes; a burst of
-	// oversized non-blob payloads (gob fallback) does not pin its peak
+	// oversized non-blob payloads does not pin its peak
 	// footprint forever.
 	maxRetainedBuf = 128 * 1024
 	// groupQuantum is the weighted-round-robin share: bytes of one group's
@@ -166,7 +166,7 @@ func newFrameWriter(conn net.Conn, timeout func() time.Duration, limit int, obs 
 // burst (the first caller of a new burst sees an empty pending set), and
 // deferring to the flusher folds that stray frame into the burst's single
 // write syscall. Both return the sticky connection error, if any.
-func (w *frameWriter) writeRequest(callID, gid uint64, from, to, kind string, payload any, codec Codec, inlineFlush bool) error {
+func (w *frameWriter) writeRequest(callID, gid uint64, from, to, kind string, payload any, inlineFlush bool) error {
 	w.mu.Lock()
 	if w.err != nil {
 		err := w.err
@@ -186,7 +186,7 @@ func (w *frameWriter) writeRequest(callID, gid uint64, from, to, kind string, pa
 	w.buf = AppendString(w.buf, from)
 	w.buf = AppendString(w.buf, to)
 	w.buf = AppendString(w.buf, kind)
-	if err := w.appendPayloadLocked(payload, codec); err != nil {
+	if err := w.appendPayloadLocked(payload); err != nil {
 		// Encoding failed; roll the partial frame back — the conn is still
 		// clean, no bytes were exposed to the socket.
 		w.rollbackLocked(lenPos, extMark, extLenMark)
@@ -196,7 +196,7 @@ func (w *frameWriter) writeRequest(callID, gid uint64, from, to, kind string, pa
 	return w.sealFrame(gid, lenPos, extMark, extLenMark, inlineFlush)
 }
 
-func (w *frameWriter) writeResponse(callID, gid uint64, errMsg string, errCode uint64, payload any, codec Codec, inlineFlush bool) error {
+func (w *frameWriter) writeResponse(callID, gid uint64, errMsg string, errCode uint64, payload any, inlineFlush bool) error {
 	w.mu.Lock()
 	if w.err != nil {
 		err := w.err
@@ -210,7 +210,7 @@ func (w *frameWriter) writeResponse(callID, gid uint64, errMsg string, errCode u
 		// Error responses carry a status code instead of a payload.
 		w.buf = binary.AppendUvarint(w.buf, errCode)
 		w.buf = append(w.buf, wireTagNil)
-	} else if err := w.appendPayloadLocked(payload, codec); err != nil {
+	} else if err := w.appendPayloadLocked(payload); err != nil {
 		w.rollbackLocked(lenPos, extMark, extLenMark)
 		w.mu.Unlock()
 		return &encodeError{err}
@@ -229,30 +229,28 @@ func (w *frameWriter) markLocked() (lenPos, extMark, extLenMark int) {
 // appendPayloadLocked encodes the payload field of the current frame. A
 // BlobMarshaler carrying its blob contributes only its head to the buffer;
 // the payload bytes ride as a shared extSeg. Callers hold mu.
-func (w *frameWriter) appendPayloadLocked(payload any, codec Codec) error {
+func (w *frameWriter) appendPayloadLocked(payload any) error {
 	if payload == nil {
 		w.buf = append(w.buf, wireTagNil)
 		return nil
 	}
-	if codec == CodecBinary {
-		if bm, ok := payload.(BlobMarshaler); ok {
-			if view, owner := bm.PayloadBlob(); owner != nil {
-				w.buf = append(w.buf, bm.WireTag())
-				w.buf = bm.AppendWireHead(w.buf)
-				if len(view) > 0 {
-					owner.Retain()
-					w.exts = append(w.exts, extSeg{at: len(w.buf), b: view, own: owner})
-					w.extLen += len(view)
-				}
-				return nil
+	if bm, ok := payload.(BlobMarshaler); ok {
+		if view, owner := bm.PayloadBlob(); owner != nil {
+			w.buf = append(w.buf, bm.WireTag())
+			w.buf = bm.AppendWireHead(w.buf)
+			if len(view) > 0 {
+				owner.Retain()
+				w.exts = append(w.exts, extSeg{at: len(w.buf), b: view, own: owner})
+				w.extLen += len(view)
 			}
-			// A blob-capable payload without its blob falls back to a full
-			// per-frame encode. Correct but a zero-copy regression, so it
-			// counts as a payload materialization.
-			w.obs.encodes.Inc()
+			return nil
 		}
+		// A blob-capable payload without its blob falls back to a full
+		// per-frame encode. Correct but a zero-copy regression, so it
+		// counts as a payload materialization.
+		w.obs.encodes.Inc()
 	}
-	b, err := appendPayload(w.buf, payload, codec)
+	b, err := appendPayload(w.buf, payload)
 	if err != nil {
 		return err
 	}

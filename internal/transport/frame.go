@@ -22,8 +22,9 @@ import (
 // where [str] is a uvarint length prefix followed by the bytes. Call IDs
 // are assigned by the requester and echoed in the response; responses may
 // arrive in any order, which is what lets N calls share one socket with N
-// RPCs in flight. Payload tag 0 is nil, tag 1 is the gob fallback, and
-// tags >= WireTagUserMin name types registered with RegisterWireDecoder.
+// RPCs in flight. Payload tag 0 is nil and tags >= WireTagUserMin name
+// types registered with RegisterWireDecoder; every other tag, including
+// tag 1 (see wireTagNil), fails to decode with ErrWireDecode.
 //
 // Version 2 reordered the runtime's bulk payload encodings (multicastReq,
 // floodReq) to put the payload bytes last, which is what lets the frame
@@ -133,16 +134,16 @@ func appendFrameHeader(b []byte, frameType byte, callID, gid uint64) []byte {
 }
 
 // appendRequestBody appends a full request frame body.
-func appendRequestBody(b []byte, callID, gid uint64, from, to, kind string, payload any, codec Codec) ([]byte, error) {
+func appendRequestBody(b []byte, callID, gid uint64, from, to, kind string, payload any) ([]byte, error) {
 	b = appendFrameHeader(b, frameRequest, callID, gid)
 	b = AppendString(b, from)
 	b = AppendString(b, to)
 	b = AppendString(b, kind)
-	return appendPayload(b, payload, codec)
+	return appendPayload(b, payload)
 }
 
 // appendResponseBody appends a full response frame body.
-func appendResponseBody(b []byte, callID, gid uint64, errMsg string, errCode uint64, payload any, codec Codec) ([]byte, error) {
+func appendResponseBody(b []byte, callID, gid uint64, errMsg string, errCode uint64, payload any) ([]byte, error) {
 	b = appendFrameHeader(b, frameResponse, callID, gid)
 	b = AppendString(b, errMsg)
 	if errMsg != "" {
@@ -150,7 +151,7 @@ func appendResponseBody(b []byte, callID, gid uint64, errMsg string, errCode uin
 		b = binary.AppendUvarint(b, errCode)
 		return append(b, wireTagNil), nil
 	}
-	return appendPayload(b, payload, codec)
+	return appendPayload(b, payload)
 }
 
 // frameHeader splits a frame body into its header fields and the rest.

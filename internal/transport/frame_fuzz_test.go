@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"testing"
@@ -19,20 +20,26 @@ func FuzzParseFrame(f *testing.F) {
 	benchRegisterOnce.Do(func() { registerBenchPayload() })
 	registerBlobTestPayload()
 	// Seed with well-formed request and response frame bodies, covering the
-	// gob fallback, the plain binary codec, and the blob-backed payload.
-	req, err := appendRequestBody(nil, 7, 0, "from", "to", "kind", benchPayload{Key: "k", Value: []byte{1, 2}, Seq: 3}, CodecBinary)
+	// plain binary payload, the blob-backed payload and an error response,
+	// plus a response carrying the retired payload tag 1 (once a gob
+	// fallback), which must be rejected.
+	req, err := appendRequestBody(nil, 7, 0, "from", "to", "kind", benchPayload{Key: "k", Value: []byte{1, 2}, Seq: 3})
 	if err != nil {
 		f.Fatal(err)
 	}
-	breq, err := appendRequestBody(nil, 9, 5, "from", "to", "kind", blobTestPayload{Key: "k", Data: []byte{4, 5, 6}}, CodecBinary)
+	breq, err := appendRequestBody(nil, 9, 5, "from", "to", "kind", blobTestPayload{Key: "k", Data: []byte{4, 5, 6}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	resp, err := appendResponseBody(nil, 7, 0, "", 0, benchPayload{Key: "k"}, CodecGob)
-	if err != nil {
+	resp := appendFrameHeader(nil, frameResponse, 7, 0)
+	resp = AppendString(resp, "")
+	resp = append(resp, 1, 0x0e, 0xff, 0x81, 0x03, 0x01, 0x01)
+	if _, _, _, rest, err := frameHeader(resp); err != nil {
 		f.Fatal(err)
+	} else if _, _, _, err := parseResponse(rest); !errors.Is(err, ErrWireDecode) {
+		f.Fatalf("tag-1 payload: err = %v, want ErrWireDecode", err)
 	}
-	eresp, err := appendResponseBody(nil, 8, 0, "lookup failed", 1, nil, CodecBinary)
+	eresp, err := appendResponseBody(nil, 8, 0, "lookup failed", 1, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -147,7 +154,7 @@ func FuzzScatterGatherFrame(f *testing.F) {
 
 		conn := &captureConn{}
 		w := newFrameWriter(conn, func() time.Duration { return 0 }, 0, &instruments{})
-		werr := w.writeRequest(42, 3, "from", "to", "kind", p, CodecBinary, true)
+		werr := w.writeRequest(42, 3, "from", "to", "kind", p, true)
 		w.close()
 		if p.blob != nil {
 			p.blob.Release()
@@ -157,7 +164,7 @@ func FuzzScatterGatherFrame(f *testing.F) {
 		}
 
 		// The gathered encoding must be byte-identical to the linear one.
-		linear, err := appendRequestBody(nil, 42, 3, "from", "to", "kind", p, CodecBinary)
+		linear, err := appendRequestBody(nil, 42, 3, "from", "to", "kind", p)
 		if err != nil {
 			t.Fatalf("appendRequestBody: %v", err)
 		}

@@ -189,12 +189,12 @@ func TestFrameWriterWRRInterleaving(t *testing.T) {
 	// Park the first frame inside conn.Write so everything that follows
 	// lands in one pending batch.
 	go func() {
-		_ = w.writeRequest(1, 7, "f", "t", "k", small, CodecBinary, true)
+		_ = w.writeRequest(1, 7, "f", "t", "k", small, true)
 	}()
 	<-conn.blocked
 
 	for i, gid := range []uint64{gidA, gidB, gidA, gidC, gidA} {
-		if err := w.writeRequest(uint64(2+i), gid, "f", "t", "k", small, CodecBinary, false); err != nil {
+		if err := w.writeRequest(uint64(2+i), gid, "f", "t", "k", small, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,15 +225,15 @@ func TestFrameWriterGroupBacklogQuota(t *testing.T) {
 
 	fat := blobTestPayload{Key: "k", Data: make([]byte, 10<<10)}
 	go func() {
-		_ = w.writeRequest(1, 42, "f", "t", "k", fat, CodecBinary, true)
+		_ = w.writeRequest(1, 42, "f", "t", "k", fat, true)
 	}()
 	<-conn.blocked
 
 	// Second hot frame fits under the 16KiB quota; the third does not.
-	if err := w.writeRequest(2, 42, "f", "t", "k", fat, CodecBinary, false); err != nil {
+	if err := w.writeRequest(2, 42, "f", "t", "k", fat, false); err != nil {
 		t.Fatalf("second frame within quota rejected: %v", err)
 	}
-	err := w.writeRequest(3, 42, "f", "t", "k", fat, CodecBinary, false)
+	err := w.writeRequest(3, 42, "f", "t", "k", fat, false)
 	if !errors.Is(err, ErrGroupBacklog) {
 		t.Fatalf("over-quota send error = %v, want ErrGroupBacklog", err)
 	}
@@ -243,11 +243,11 @@ func TestFrameWriterGroupBacklogQuota(t *testing.T) {
 	}
 
 	// The quiet group is not collateral damage — its sends still buffer.
-	if err := w.writeRequest(4, 77, "f", "t", "k", fat, CodecBinary, false); err != nil {
+	if err := w.writeRequest(4, 77, "f", "t", "k", fat, false); err != nil {
 		t.Fatalf("other group throttled by hot group's quota: %v", err)
 	}
 	// Responses are exempt: the hot group can always answer inbound work.
-	if err := w.writeResponse(5, 42, "", 0, fat, CodecBinary, false); err != nil {
+	if err := w.writeResponse(5, 42, "", 0, fat, false); err != nil {
 		t.Fatalf("response blocked by request quota: %v", err)
 	}
 
@@ -260,7 +260,7 @@ func TestFrameWriterGroupBacklogQuota(t *testing.T) {
 	waitFrames(t, conn, 4)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if err = w.writeRequest(6, 42, "f", "t", "k", fat, CodecBinary, false); !errors.Is(err, ErrGroupBacklog) {
+		if err = w.writeRequest(6, 42, "f", "t", "k", fat, false); !errors.Is(err, ErrGroupBacklog) {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -107,7 +107,7 @@ func (c *muxConn) roundTrip(ctx context.Context, deadline time.Time, gid uint64,
 		c.t.sweep.arm(c.sweepID, deadline)
 	}
 
-	err := c.w.writeRequest(id, gid, from, to, kind, payload, c.t.codec(), solo)
+	err := c.w.writeRequest(id, gid, from, to, kind, payload, solo)
 	if err != nil {
 		c.forget(id)
 		var encErr *encodeError

@@ -109,7 +109,7 @@ func TestTCPCallRaceWithClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gobSetup()
+		registerEchoPayload()
 		b.Register(b.Addr(), func(from, kind string, payload any) (any, error) {
 			return payload, nil
 		})

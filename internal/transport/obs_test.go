@@ -14,6 +14,7 @@ import (
 // and at least one socket flush with a recorded batch size.
 func TestTCPInstrumented(t *testing.T) {
 	reg := obsv.NewRegistry()
+	registerEchoPayload()
 
 	srv, err := NewTCP("127.0.0.1:0")
 	if err != nil {
@@ -41,13 +42,13 @@ func TestTCPInstrumented(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := cli.Call(context.Background(), "cli", srv.Addr(), "echo", "hi"); err != nil {
+			if _, err := cli.Call(context.Background(), "cli", srv.Addr(), "echo", echoPayload{Value: 1}); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
-	if _, err := cli.Call(context.Background(), "cli", srv.Addr(), "boom", "x"); err == nil {
+	if _, err := cli.Call(context.Background(), "cli", srv.Addr(), "boom", echoPayload{}); err == nil {
 		t.Fatal("handler error did not propagate")
 	}
 

@@ -136,10 +136,10 @@ func (s *serverConn) handle(req parsedRequest) (errMsg string, errCode uint64, p
 // response payload is downgraded to an error response so the caller fails
 // fast instead of timing out.
 func (s *serverConn) respond(callID, gid uint64, errMsg string, errCode uint64, payload any, inline bool) {
-	err := s.w.writeResponse(callID, gid, errMsg, errCode, payload, s.t.codec(), inline)
+	err := s.w.writeResponse(callID, gid, errMsg, errCode, payload, inline)
 	var encErr *encodeError
 	if errors.As(err, &encErr) {
-		_ = s.w.writeResponse(callID, gid, fmt.Sprintf("transport: encode response: %v", encErr.Unwrap()), 0, nil, CodecBinary, inline)
+		_ = s.w.writeResponse(callID, gid, fmt.Sprintf("transport: encode response: %v", encErr.Unwrap()), 0, nil, inline)
 	}
 	// Any other error is a dead socket; the decode loop exits on its own.
 }

@@ -33,7 +33,7 @@ func hungListener(t *testing.T) string {
 // on many connections at once — concurrent calls to several hung peers all
 // time out near RPCTimeout, none serialized behind another's expiry.
 func TestTCPSweeperExpiresAcrossConns(t *testing.T) {
-	gobSetup()
+	registerEchoPayload()
 	a, err := NewTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestTCPSweeperExpiresAcrossConns(t *testing.T) {
 // goroutine per transport, not one per connection. (Each live connection
 // still owns a read loop — that is the socket's cost, not the sweeper's.)
 func TestTCPSweeperGoroutineFootprint(t *testing.T) {
-	gobSetup()
+	registerEchoPayload()
 	const peers = 8
 	servers := make([]*TCP, peers)
 	for i := range servers {

@@ -21,8 +21,9 @@ import (
 // share a single pooled connection, each tagged with a call ID, so N
 // concurrent Calls put N RPCs in flight on one socket instead of N
 // sequential round trips. Frames use a compact binary format (see frame.go)
-// with a per-payload type tag; registered payload types (WireMarshaler +
-// RegisterWireDecoder) are hand-marshaled, anything else falls back to gob.
+// with a per-payload type tag; every payload type is hand-marshaled
+// (WireMarshaler + RegisterWireDecoder), and a call carrying any other type
+// fails before a byte reaches the socket.
 // The serving side dispatches handlers to bounded worker goroutines per
 // connection, so a slow handler neither delays the decoding of later
 // requests nor blocks faster handlers' responses.
@@ -52,10 +53,6 @@ type TCP struct {
 	// further per call. A timed-out call fails without tearing down the
 	// shared connection. Default 10s.
 	RPCTimeout time.Duration
-	// Codec selects the payload encoding (CodecBinary by default; CodecGob
-	// keeps the old all-gob encoding for A/B measurement). Mutable before
-	// first use.
-	Codec Codec
 	// ServerWorkers bounds concurrently running handlers per accepted
 	// connection. Mutable before first use; default 32.
 	ServerWorkers int
@@ -132,15 +129,13 @@ func (t *TCP) Instrument(reg *obsv.Registry) {
 	t.obs = newInstruments(reg)
 }
 
-func (t *TCP) codec() Codec { return t.Codec }
-
 // BlobPayloads reports whether this transport sends BlobMarshaler payloads
 // zero-copy (scatter-gathered from their shared blob). The runtime checks
 // this to decide whether originating a multicast should materialize a
 // payload blob at all: on the in-memory transport (which passes payload
-// values by reference, already copy-free) or under the gob codec, building
-// one would only add a copy.
-func (t *TCP) BlobPayloads() bool { return t.Codec == CodecBinary }
+// values by reference, already copy-free), building one would only add a
+// copy. The TCP transport always does.
+func (t *TCP) BlobPayloads() bool { return true }
 
 func (t *TCP) rpcTimeout() time.Duration { return t.RPCTimeout }
 
@@ -280,9 +275,11 @@ func (t *TCP) dispatch(ctx context.Context, gid uint64, from, to, kind string, p
 			}
 			return nil, errors.New(handlerErr.msg)
 		}
-		if errors.Is(err, ErrGroupBacklog) {
-			// A local quota rejection, not a peer failure: the call never
-			// left this process, so the peer must not be marked suspect.
+		var encErr *encodeError
+		if errors.As(err, &encErr) {
+			// A local quota rejection or unencodable payload, not a peer
+			// failure: the call never left this process, so the peer must
+			// not be marked suspect.
 			return nil, err
 		}
 		t.suspect(to)

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"net"
 	"strings"
@@ -11,22 +10,34 @@ import (
 	"time"
 )
 
-// echoPayload is the test payload carried over gob.
+// echoPayload is the test payload most transport tests carry.
 type echoPayload struct {
 	Value int
 }
 
-var registerOnce sync.Once
+// echoWireTag sits just under blobWireTag at the top of the user range so
+// it can never collide with the runtime's registered wire types.
+const echoWireTag byte = 0xF2
 
-func gobSetup() {
-	registerOnce.Do(func() {
-		gob.Register(echoPayload{})
-	})
+func (echoPayload) WireTag() byte { return echoWireTag }
+
+func (p echoPayload) AppendWire(b []byte) []byte { return AppendVarint(b, int64(p.Value)) }
+
+func decodeEchoPayload(b []byte) (any, error) {
+	r := NewWireReader(b)
+	p := echoPayload{Value: int(r.Varint())}
+	return p, r.Finish()
+}
+
+var echoPayloadOnce sync.Once
+
+func registerEchoPayload() {
+	echoPayloadOnce.Do(func() { RegisterWireDecoder(echoWireTag, decodeEchoPayload) })
 }
 
 func newTCPPair(t *testing.T) (*TCP, *TCP) {
 	t.Helper()
-	gobSetup()
+	registerEchoPayload()
 	a, err := NewTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -97,8 +108,57 @@ func TestTCPUnknownEndpoint(t *testing.T) {
 	}
 }
 
+// TestTCPUnencodablePayload checks that a payload type with no binary wire
+// encoding fails only its own call — in either direction — and leaves the
+// pooled connection serving the next call.
+func TestTCPUnencodablePayload(t *testing.T) {
+	a, b := newTCPPair(t)
+	type unregistered struct{ X int }
+	b.Register(b.Addr(), func(from, kind string, payload any) (any, error) {
+		if kind == "bad-response" {
+			return unregistered{X: 1}, nil
+		}
+		return echoPayload{Value: payload.(echoPayload).Value + 1}, nil
+	})
+	call := func(kind string, payload any) (any, error) {
+		return a.Call(context.Background(), "client", b.Addr(), kind, payload)
+	}
+	if _, err := call("echo", echoPayload{Value: 1}); err != nil {
+		t.Fatal(err)
+	}
+	a.mu.Lock()
+	conn := a.conns[b.Addr()]
+	a.mu.Unlock()
+
+	_, err := call("echo", unregistered{X: 1})
+	if err == nil || !strings.Contains(err.Error(), "no binary wire encoding") {
+		t.Fatalf("unregistered request payload: err = %v, want an encode failure", err)
+	}
+	if errors.Is(err, ErrUnreachable) || !a.Registered(b.Addr()) {
+		t.Fatalf("an encode failure marked the peer unreachable: %v", err)
+	}
+	_, err = call("bad-response", echoPayload{})
+	if err == nil || !strings.Contains(err.Error(), "encode response") {
+		t.Fatalf("unregistered response payload: err = %v, want an encode-response error", err)
+	}
+
+	resp, err := call("echo", echoPayload{Value: 41})
+	if err != nil {
+		t.Fatalf("call after encode failures: %v", err)
+	}
+	if got := resp.(echoPayload).Value; got != 42 {
+		t.Fatalf("resp = %d, want 42", got)
+	}
+	a.mu.Lock()
+	after := a.conns[b.Addr()]
+	a.mu.Unlock()
+	if after != conn {
+		t.Fatal("an encode failure replaced the pooled connection")
+	}
+}
+
 func TestTCPUnreachableAndSuspicion(t *testing.T) {
-	gobSetup()
+	registerEchoPayload()
 	a, err := NewTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +252,7 @@ func TestTCPNestedCalls(t *testing.T) {
 }
 
 func TestTCPCloseIdempotentAndRejects(t *testing.T) {
-	gobSetup()
+	registerEchoPayload()
 	a, err := NewTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -11,15 +11,15 @@ import (
 // helpers for encoding and a cursor-style WireReader for decoding. Payload
 // types implement WireMarshaler with these helpers and register a matching
 // decoder with RegisterWireDecoder; the transport handles everything else
-// (framing, call IDs, codec negotiation).
+// (framing, call IDs, payload type tags).
 //
 // All integer fields are varints (unsigned, or zigzag for signed), strings
 // and byte slices are length-prefixed, and nil-ness of byte slices is
 // preserved (a nil slice and an empty slice round-trip distinctly), so a
-// binary round trip is value-identical to the gob round trip it replaces.
+// round trip returns a value identical to the one sent.
 
 // WireMarshaler is implemented by payload types that know how to encode
-// themselves for the binary codec. AppendWire appends the encoded value to
+// themselves for the wire. AppendWire appends the encoded value to
 // b and returns the extended slice; it must not retain b.
 type WireMarshaler interface {
 	// WireTag returns the payload's registered one-byte type tag
@@ -32,8 +32,10 @@ type WireMarshaler interface {
 // Payload type tags. Tags below WireTagUserMin are reserved for the
 // transport itself.
 const (
-	wireTagNil byte = 0 // nil payload
-	wireTagGob byte = 1 // gob-encoded fallback for unregistered types
+	// wireTagNil marks a nil payload. Tag 1 stays unassigned: builds that
+	// still had a gob fallback sent it under tag 1, and such a payload
+	// must fail to decode rather than be misread as a registered type.
+	wireTagNil byte = 0
 
 	// WireTagUserMin is the first tag available to registered payload
 	// types.
@@ -48,7 +50,7 @@ var wireDecoders [256]func([]byte) (any, error)
 // RegisterWireDecoder installs the decoder for a payload type tag. The
 // decoder receives exactly the payload bytes AppendWire produced and must
 // return the decoded value (a concrete value, not a pointer, so handlers
-// can type-assert the same way they do for gob payloads). Register all
+// type-assert the type the caller sent). Register all
 // types before the first connection is made; duplicate or reserved tags
 // panic.
 func RegisterWireDecoder(tag byte, dec func([]byte) (any, error)) {

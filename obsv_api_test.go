@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,23 +13,27 @@ import (
 	"camcast/internal/obsv"
 )
 
-// TestNodeInterfaceUnifiesMembers drives an in-process member purely
-// through the exported Node interface — the compile-time assertions prove
-// both member kinds satisfy it; this proves the interface is usable.
+// TestNodeInterfaceUnifiesMembers drives an in-process member through the
+// *Member methods that TCP members share (TestTCPMemberObservability drives
+// them over sockets): one member type serves both transports.
 func TestNodeInterfaceUnifiesMembers(t *testing.T) {
 	net, col, addrs := buildGroup(t, CAMChord, 6, 4)
 	m, err := net.Member(addrs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	var node Node = m
-	if node.Addr() != addrs[1] {
-		t.Errorf("Addr() = %q, want %q", node.Addr(), addrs[1])
+	if m.Host() != nil || m.Group() != "default" {
+		t.Errorf("in-process member host/group = %p/%q, want nil/default", m.Host(), m.Group())
 	}
-	if node.Capacity() != 4 {
-		t.Errorf("Capacity() = %d, want 4", node.Capacity())
+	m.StabilizeOnce()
+	m.FixAll()
+	if m.Addr() != addrs[1] {
+		t.Errorf("Addr() = %q, want %q", m.Addr(), addrs[1])
 	}
-	msgID, err := node.MulticastContext(context.Background(), []byte("via interface"))
+	if m.Capacity() != 4 {
+		t.Errorf("Capacity() = %d, want 4", m.Capacity())
+	}
+	msgID, err := m.MulticastContext(context.Background(), []byte("one member type"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,15 +42,23 @@ func TestNodeInterfaceUnifiesMembers(t *testing.T) {
 			t.Errorf("%s delivered %d times, want 1", addr, got)
 		}
 	}
-	ni := node.Neighbors()
-	if ni.Addr != addrs[1] || ni.ID != node.ID() {
-		t.Errorf("Neighbors() self = %+v, want addr %s id %d", ni, addrs[1], node.ID())
+	ni := m.Neighbors()
+	if ni.Addr != addrs[1] || ni.ID != m.ID() {
+		t.Errorf("Neighbors() self = %+v, want addr %s id %d", ni, addrs[1], m.ID())
 	}
 	if len(ni.Successors) == 0 {
 		t.Error("Neighbors() reports no successors in a 6-member group")
 	}
-	if node.Stats().Delivered == 0 {
-		t.Error("Stats() through the interface shows no deliveries")
+	if m.Stats().Delivered == 0 {
+		t.Error("Stats() shows no deliveries")
+	}
+	if got := m.Metrics().Counters[obsv.MetricDelivered]; got < uint64(len(addrs)) {
+		t.Errorf("Metrics() runtime.delivered = %d, want >= %d", got, len(addrs))
+	}
+	rec := httptest.NewRecorder()
+	m.DebugHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/camcast/neighbors", nil))
+	if rec.Code != 200 || !strings.Contains(rec.Body.String(), addrs[1]) {
+		t.Errorf("DebugHandler neighbors: %d %s", rec.Code, rec.Body.String())
 	}
 }
 
@@ -72,7 +85,7 @@ func TestObserverSeesMemberEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Settle(3)
-	if _, err := a.Multicast([]byte("observed")); err != nil {
+	if _, err := a.MulticastContext(context.Background(), []byte("observed")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -115,7 +128,7 @@ func TestNetworkObserveStop(t *testing.T) {
 		}
 	})
 	src, _ := net.Member(addrs[0])
-	if _, err := src.Multicast([]byte("watched")); err != nil {
+	if _, err := src.MulticastContext(context.Background(), []byte("watched")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -135,7 +148,7 @@ func TestNetworkObserveStop(t *testing.T) {
 
 	stop()
 	stop() // idempotent
-	if _, err := src.Multicast([]byte("unwatched")); err != nil {
+	if _, err := src.MulticastContext(context.Background(), []byte("unwatched")); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -153,7 +166,7 @@ func TestNetworkObserveStop(t *testing.T) {
 func TestMetricsAndCountersSnapshot(t *testing.T) {
 	net, col, addrs := buildGroup(t, CAMChord, 10, 4)
 	src, _ := net.Member(addrs[2])
-	msgID, err := src.Multicast([]byte("measured"))
+	msgID, err := src.MulticastContext(context.Background(), []byte("measured"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +204,7 @@ func TestMetricsAndCountersSnapshot(t *testing.T) {
 func TestDebugHandlerHTTP(t *testing.T) {
 	net, _, addrs := buildGroup(t, CAMChord, 5, 4)
 	src, _ := net.Member(addrs[0])
-	if _, err := src.Multicast([]byte("debug me")); err != nil {
+	if _, err := src.MulticastContext(context.Background(), []byte("debug me")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -343,8 +356,10 @@ func TestTCPMemberObservability(t *testing.T) {
 		b.FixAll()
 	}
 
-	var node Node = a // the interface covers the TCP kind too
-	if _, err := node.MulticastContext(context.Background(), []byte("over tcp")); err != nil {
+	if a.Host() == nil {
+		t.Error("ListenTCP member reports no host")
+	}
+	if _, err := a.MulticastContext(context.Background(), []byte("over tcp")); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -25,7 +25,7 @@ func TestBurstLossDuringRepairMem(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == total/2 {
-			sessions[4].Member().(*camcast.Member).Crash()
+			sessions[4].Member().Close()
 		}
 	}
 	net.Transport().SetDropRate(0)
@@ -97,7 +97,7 @@ func TestBurstLossDuringRepairTCP(t *testing.T) {
 		}
 		for r := 0; r < 3; r++ {
 			for j := 0; j <= i; j++ {
-				sessions[j].Member().(*camcast.TCPMember).StabilizeOnce()
+				sessions[j].Member().StabilizeOnce()
 			}
 		}
 	}
@@ -106,7 +106,7 @@ func TestBurstLossDuringRepairTCP(t *testing.T) {
 			if i == 3 {
 				continue // closed mid-test
 			}
-			sess.Member().(*camcast.TCPMember).Close()
+			sess.Member().Close()
 		}
 	}()
 	settle := func(skip int) {
@@ -115,7 +115,7 @@ func TestBurstLossDuringRepairTCP(t *testing.T) {
 				if i == skip {
 					continue
 				}
-				m := sess.Member().(*camcast.TCPMember)
+				m := sess.Member()
 				m.StabilizeOnce()
 				m.FixAll()
 			}
@@ -131,7 +131,7 @@ func TestBurstLossDuringRepairTCP(t *testing.T) {
 		if i == total/2 {
 			// Mid-stream crash: the listener vanishes without a leave, so
 			// in-flight forwards to it time out and its subtree orphans.
-			sessions[3].Member().(*camcast.TCPMember).Close()
+			sessions[3].Member().Close()
 		}
 	}
 	settle(3)

@@ -57,10 +57,10 @@ func (c *Config) applyDefaults() {
 var ErrTakenCallbacks = errors.New("reliable: Options.OnDeliver/OnRequest are managed by the session")
 
 // Session is one group member with reliability state. The member under it
-// can be either kind camcast offers — in-process (New) or socket-backed
-// (NewTCP) — the reliability protocol is transport-agnostic.
+// is in-process (New) or socket-backed (NewTCP); the reliability protocol
+// is transport-agnostic.
 type Session struct {
-	member camcast.Node
+	member *camcast.Member
 	cfg    Config
 
 	mu      sync.Mutex
@@ -110,7 +110,7 @@ func New(net *camcast.Network, addr, via string, opts camcast.Options, cfg Confi
 // camcast.ListenTCP) wrapped in a reliable session, bootstrapping a fresh
 // group when via is empty and joining through via otherwise. The session
 // owns opts.OnDeliver and opts.OnRequest. Close the underlying member
-// (Member().(*camcast.TCPMember).Close()) when done.
+// (Member().Close()) when done.
 func NewTCP(listenAddr, via string, opts camcast.Options, cfg Config) (*Session, error) {
 	s, err := newSession(&opts, cfg)
 	if err != nil {
@@ -143,7 +143,7 @@ func newSession(opts *camcast.Options, cfg Config) (*Session, error) {
 }
 
 // Member exposes the underlying group member.
-func (s *Session) Member() camcast.Node { return s.member }
+func (s *Session) Member() *camcast.Member { return s.member }
 
 // Send multicasts payload reliably and returns its sequence number.
 func (s *Session) Send(payload []byte) (uint64, error) {

@@ -1,6 +1,7 @@
 package reliable
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -240,7 +241,7 @@ func TestForeignPayloadsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Settle(3)
-	if _, err := raw.Multicast([]byte{0xFF, 0x01}); err != nil {
+	if _, err := raw.MulticastContext(context.Background(), []byte{0xFF, 0x01}); err != nil {
 		t.Fatal(err)
 	}
 	for _, addr := range []string{"m1", "m2"} {

@@ -1,9 +1,9 @@
 package camcast
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"sort"
 	"sync"
@@ -27,10 +27,6 @@ type HostOptions struct {
 	// cannot wedge a pooled connection. Zero keeps the transport default
 	// (10s).
 	RPCTimeout time.Duration
-	// Codec selects the wire encoding for payloads this host's members
-	// send: "binary" (default) or "gob". Peers decode by tag, so hosts
-	// with different codecs interoperate.
-	Codec string
 	// GroupBacklogLimit bounds, per group and per connection, the bytes
 	// of unflushed outbound requests before further sends from that group
 	// fail with a backlog error instead of growing the buffer — the
@@ -55,24 +51,19 @@ type TCPHost struct {
 	bus *obsv.Bus
 	reg *obsv.Registry
 
-	hmu     sync.Mutex            // protects members/closed; "hmu" to keep stack traces distinct from Group.mu
-	members map[uint64]*TCPMember // by group flow label
+	hmu     sync.Mutex         // protects members/closed; "hmu" to keep stack traces distinct from Group.mu
+	members map[uint64]*Member // by group flow label
 	closed  bool
 }
 
 // NewTCPHost starts a TCP transport listening at listenAddr (use
 // "127.0.0.1:0" to pick a free port) with no members yet.
 func NewTCPHost(listenAddr string, opts HostOptions) (*TCPHost, error) {
-	codec, err := transport.ParseCodec(opts.Codec)
-	if err != nil {
-		return nil, err
-	}
 	runtime.RegisterWireTypes()
 	tr, err := transport.NewTCP(listenAddr)
 	if err != nil {
 		return nil, err
 	}
-	tr.Codec = codec
 	if opts.SuspicionWindow > 0 {
 		tr.SuspicionWindow = opts.SuspicionWindow
 	}
@@ -89,7 +80,7 @@ func NewTCPHost(listenAddr string, opts HostOptions) (*TCPHost, error) {
 		tr:      tr,
 		bus:     obsv.NewBus(),
 		reg:     obsv.NewRegistry(),
-		members: make(map[uint64]*TCPMember),
+		members: make(map[uint64]*Member),
 	}
 	tr.Instrument(h.reg)
 	return h, nil
@@ -132,15 +123,12 @@ func (h *TCPHost) DebugHandler() http.Handler {
 		Bus:      h.bus,
 		Neighbors: func() any {
 			h.hmu.Lock()
-			members := make([]*TCPMember, 0, len(h.members))
-			for _, m := range h.members {
-				members = append(members, m)
-			}
+			members := maps.Clone(h.members)
 			h.hmu.Unlock()
 			out := make([]NeighborInfo, 0, len(members))
-			for _, m := range members {
+			for gid, m := range members {
 				ni := m.Neighbors()
-				if m.gid != transport.DefaultGroup {
+				if gid != transport.DefaultGroup {
 					ni.Group = m.group
 				}
 				out = append(out, ni)
@@ -160,29 +148,30 @@ func (h *TCPHost) Close() {
 		return
 	}
 	h.closed = true
-	members := make([]*TCPMember, 0, len(h.members))
-	for _, m := range h.members {
-		members = append(members, m)
-	}
-	h.members = make(map[uint64]*TCPMember)
+	members := h.members
+	h.members = make(map[uint64]*Member)
 	h.hmu.Unlock()
 	for _, m := range members {
-		m.node.Stop()
-		m.stopObserver()
+		m.stop()
 	}
 	h.tr.Close()
 }
 
-func (h *TCPHost) remove(gid uint64) {
+// remove drops m from the host unless another member of its group has
+// since taken its place.
+func (h *TCPHost) remove(gid uint64, m *Member) {
 	h.hmu.Lock()
 	defer h.hmu.Unlock()
-	delete(h.members, gid)
+	if h.members[gid] == m {
+		delete(h.members, gid)
+	}
 }
 
 // listenOn starts a member of the given group on this host. Transport
-// settings in opts (SuspicionWindow, DialTimeout, RPCTimeout, Codec) are
-// ignored here — they were fixed when the host was built.
-func (h *TCPHost) listenOn(gid uint64, group, via string, opts Options, owns bool) (*TCPMember, error) {
+// settings in opts (SuspicionWindow, DialTimeout, RPCTimeout) are ignored
+// here — they were fixed when the host was built. A member that owns the
+// host closes it when it leaves or closes.
+func (h *TCPHost) listenOn(gid uint64, group, via string, opts Options, owns bool) (*Member, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
 		return nil, err
@@ -199,48 +188,26 @@ func (h *TCPHost) listenOn(gid uint64, group, via string, opts Options, owns boo
 	h.hmu.Unlock()
 
 	h.tr.LabelGroup(gid, group)
-	addr := h.tr.Addr()
-	cfg.OnDeliver = func(d runtime.Delivery) {
-		if opts.OnDeliver != nil {
-			opts.OnDeliver(Message{ID: d.MsgID, From: d.Source.Addr, Payload: d.Payload, Hops: d.Hops})
+	m := &Member{group: group, host: h, bus: h.bus, reg: h.reg}
+	m.detach = func() {
+		h.remove(gid, m)
+		if owns {
+			h.Close()
 		}
 	}
-	cfg.OnRequest = opts.OnRequest
-	cfg.Bus = h.bus
-	cfg.Metrics = h.reg
-
-	m := &TCPMember{host: h, gid: gid, group: group, owns: owns, bus: h.bus, reg: h.reg}
-	if opts.Observer != nil {
-		m.stopObs = observe(h.bus, h.reg, addr, opts.Observer)
-	}
-	node, err := runtime.NewNode(h.tr.Flow(gid), addr, cfg)
-	if err != nil {
-		m.stopObserver()
-		return nil, err
-	}
-	m.node = node
-	if via == "" {
-		err = node.Bootstrap()
-	} else {
-		err = node.Join(via)
-	}
-	if err != nil {
-		node.Stop()
-		m.stopObserver()
+	if err := m.start(h.tr.Flow(gid), h.tr.Addr(), via, cfg, opts); err != nil {
 		return nil, err
 	}
 
 	h.hmu.Lock()
 	if h.closed {
 		h.hmu.Unlock()
-		node.Stop()
-		m.stopObserver()
+		m.stop()
 		return nil, errors.New("camcast: host closed")
 	}
 	if _, ok := h.members[gid]; ok {
 		h.hmu.Unlock()
-		node.Stop()
-		m.stopObserver()
+		m.stop()
 		return nil, fmt.Errorf("%w: host %s already carries a member of group %q", ErrMemberExists, h.tr.Addr(), group)
 	}
 	h.members[gid] = m
@@ -258,7 +225,7 @@ func (h *TCPHost) listenOn(gid uint64, group, via string, opts Options, owns boo
 // wire; group identity across processes is the label alone, derived from
 // the group name, and the group token is not verified by peers (see
 // DESIGN.md §13).
-func (g *Group) ListenOn(h *TCPHost, via string, opts Options) (*TCPMember, error) {
+func (g *Group) ListenOn(h *TCPHost, via string, opts Options) (*Member, error) {
 	return h.listenOn(g.gid, g.name, via, opts, false)
 }
 
@@ -266,29 +233,29 @@ func (g *Group) ListenOn(h *TCPHost, via string, opts Options) (*TCPMember, erro
 // listenAddr — NewTCPHost plus ListenOn, with the host's transport
 // settings taken from opts and the host closed when the member is. Use
 // NewTCPHost + ListenOn to share one host across groups.
-func (g *Group) Listen(listenAddr, via string, opts Options) (*TCPMember, error) {
-	h, err := NewTCPHost(listenAddr, hostOptions(opts))
+func (g *Group) Listen(listenAddr, via string, opts Options) (*Member, error) {
+	return listenOwned(listenAddr, g.gid, g.name, via, opts)
+}
+
+// listenOwned starts a member of the given group on a new TCPHost at
+// listenAddr, built from the transport-level member options, which the
+// member closes when it leaves or closes (ListenTCP, Group.Listen).
+func listenOwned(listenAddr string, gid uint64, group, via string, opts Options) (*Member, error) {
+	h, err := NewTCPHost(listenAddr, HostOptions{
+		SuspicionWindow:   opts.SuspicionWindow,
+		DialTimeout:       opts.DialTimeout,
+		RPCTimeout:        opts.RPCTimeout,
+		GroupBacklogLimit: opts.GroupBacklogLimit,
+	})
 	if err != nil {
 		return nil, err
 	}
-	m, err := h.listenOn(g.gid, g.name, via, opts, true)
+	m, err := h.listenOn(gid, group, via, opts, true)
 	if err != nil {
 		h.Close()
 		return nil, err
 	}
 	return m, nil
-}
-
-// hostOptions lifts the transport-level member options into HostOptions
-// for the single-member wrapper paths (ListenTCP, Group.Listen).
-func hostOptions(opts Options) HostOptions {
-	return HostOptions{
-		SuspicionWindow:   opts.SuspicionWindow,
-		DialTimeout:       opts.DialTimeout,
-		RPCTimeout:        opts.RPCTimeout,
-		Codec:             opts.Codec,
-		GroupBacklogLimit: opts.GroupBacklogLimit,
-	}
 }
 
 // ListenTCP starts a member on a real TCP socket at listenAddr (use
@@ -303,145 +270,6 @@ func hostOptions(opts Options) HostOptions {
 // dedicated host that is closed when the member is. Multi-group
 // processes create one TCPHost and add a member per group with
 // Group.ListenOn instead.
-func ListenTCP(listenAddr, via string, opts Options) (*TCPMember, error) {
-	h, err := NewTCPHost(listenAddr, hostOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	m, err := h.listenOn(transport.DefaultGroup, "default", via, opts, true)
-	if err != nil {
-		h.Close()
-		return nil, err
-	}
-	return m, nil
-}
-
-// TCPMember is one group member hosted on a TCP transport — a real
-// socket, exactly as a separate process or host would run. Create with
-// ListenTCP (dedicated transport) or Group.ListenOn (transport shared
-// with other groups' members); a TCPMember created by the former owns
-// its host and must be Closed when done.
-type TCPMember struct {
-	node    *runtime.Node
-	host    *TCPHost
-	gid     uint64
-	group   string
-	owns    bool // Close/Leave also close the host (ListenTCP, Group.Listen)
-	bus     *obsv.Bus
-	reg     *obsv.Registry
-	stopObs func() // detaches Options.Observer; nil when unset
-}
-
-func (m *TCPMember) stopObserver() {
-	if m.stopObs != nil {
-		m.stopObs()
-	}
-}
-
-// Addr returns the member's bound "host:port" address — what other members
-// of the same group pass as via.
-func (m *TCPMember) Addr() string { return m.node.Self().Addr }
-
-// ID returns the member's ring identifier.
-func (m *TCPMember) ID() uint64 { return m.node.Self().ID }
-
-// Capacity returns the member's multicast capacity c_x.
-func (m *TCPMember) Capacity() int { return m.node.Capacity() }
-
-// Group returns the name of the group the member belongs to ("default"
-// for ListenTCP members).
-func (m *TCPMember) Group() string { return m.group }
-
-// Host returns the TCPHost carrying this member.
-func (m *TCPMember) Host() *TCPHost { return m.host }
-
-// Multicast sends payload to every group member (including this one) and
-// returns the message ID.
-//
-// Deprecated: use MulticastContext. Multicast remains a thin
-// background-context wrapper.
-func (m *TCPMember) Multicast(payload []byte) (string, error) {
-	return m.node.Multicast(payload)
-}
-
-// MulticastContext is Multicast under a context: cancellation abandons
-// outstanding child sends without counting them as losses.
-func (m *TCPMember) MulticastContext(ctx context.Context, payload []byte) (string, error) {
-	return m.node.MulticastContext(ctx, payload)
-}
-
-// Stats returns a snapshot of the member's protocol counters.
-func (m *TCPMember) Stats() Stats { return m.node.Stats() }
-
-// Metrics returns a snapshot of the host's metrics registry, covering
-// this member's protocol counters, the TCP transport (RPC latency,
-// in-flight calls, flush batch sizes), and any co-hosted members.
-func (m *TCPMember) Metrics() MetricsSnapshot { return m.reg.Snapshot() }
-
-// Neighbors reports the member's current ring neighborhood.
-func (m *TCPMember) Neighbors() NeighborInfo { return neighborInfo(m.node) }
-
-// Observe attaches fn to this member's live event stream and returns a
-// function that detaches it.
-func (m *TCPMember) Observe(fn func(Event)) (stop func()) {
-	return observe(m.bus, m.reg, m.Addr(), fn)
-}
-
-// DebugHandler returns the hosting transport's live debug surface —
-// /debug/camcast/{stats,neighbors,events} plus net/http/pprof — ready to
-// mount on an HTTP server. For a member on a shared host this covers
-// the whole host; see TCPHost.DebugHandler.
-func (m *TCPMember) DebugHandler() http.Handler {
-	return obsv.Debug{
-		Registry:  m.reg,
-		Bus:       m.bus,
-		Neighbors: func() any { return []NeighborInfo{m.Neighbors()} },
-		Extra:     func() any { return m.Stats() },
-	}.Handler()
-}
-
-// Request sends a unicast request to the member at addr; the remote member
-// must have configured Options.OnRequest.
-//
-// Deprecated: use RequestContext. Request remains a thin
-// background-context wrapper.
-func (m *TCPMember) Request(addr string, payload []byte) ([]byte, error) {
-	return m.node.Request(addr, payload)
-}
-
-// RequestContext is Request under a context, which bounds or cancels the
-// round-trip.
-func (m *TCPMember) RequestContext(ctx context.Context, addr string, payload []byte) ([]byte, error) {
-	return m.node.RequestContext(ctx, addr, payload)
-}
-
-// StabilizeOnce and FixAll drive one maintenance round explicitly, for
-// deployments that disabled background maintenance.
-func (m *TCPMember) StabilizeOnce() { m.node.StabilizeOnce() }
-
-// FixAll refreshes the member's entire routing table in one pass.
-func (m *TCPMember) FixAll() { m.node.FixAll() }
-
-// Leave departs gracefully, detaches from the host, and — for members
-// that own their host (ListenTCP, Group.Listen) — releases the transport.
-func (m *TCPMember) Leave() error {
-	err := m.node.Leave()
-	m.stopObserver()
-	m.host.remove(m.gid)
-	if m.owns {
-		m.host.Close()
-	}
-	return err
-}
-
-// Close stops the member abruptly (a crash, as other members see it) and,
-// for members that own their host, releases the transport. Safe to call
-// multiple times.
-func (m *TCPMember) Close() {
-	m.node.Stop()
-	m.stopObserver()
-	m.host.remove(m.gid)
-	if m.owns {
-		m.host.Close()
-	}
+func ListenTCP(listenAddr, via string, opts Options) (*Member, error) {
+	return listenOwned(listenAddr, transport.DefaultGroup, "default", via, opts)
 }

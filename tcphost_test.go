@@ -117,7 +117,7 @@ func TestTCPHostSharedConnection(t *testing.T) {
 	}
 }
 
-func memberOf(t *testing.T, h *TCPHost, group string) *TCPMember {
+func memberOf(t *testing.T, h *TCPHost, group string) *Member {
 	t.Helper()
 	h.hmu.Lock()
 	defer h.hmu.Unlock()
