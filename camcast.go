@@ -241,11 +241,13 @@ type Options struct {
 	// negative disables backoff.
 	RetryBackoff time.Duration
 
-	// SuspicionWindow is how long a peer that failed an RPC with an
-	// unreachability error is skipped as a routing detour in lookups. It
-	// also tunes the TCP transport's failure detector for ListenTCP
-	// members. Zero keeps the defaults (1s routing suspicion, 2s TCP
-	// detector); negative disables routing suspicion.
+	// SuspicionWindow tunes the member's failure detector, the same on
+	// every transport: how long a peer stays suspect after one of the
+	// member's own calls to it could not reach it (unreachable,
+	// partitioned, or timed out), unless the peer answers first. Suspects
+	// are skipped as routing detours and re-resolved as forwarding
+	// children; a ring pointer is dropped only when a call to its peer
+	// fails. Zero or negative keeps the default (1s).
 	SuspicionWindow time.Duration
 	// DialTimeout bounds TCP connection establishment (ListenTCP members
 	// only; in-process members ignore it). Zero keeps the transport

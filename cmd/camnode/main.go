@@ -77,6 +77,17 @@ type session struct {
 	grp      group
 	protocol camcast.Protocol
 	out      io.Writer
+
+	// outMu serializes writes to out: delivery callbacks print from
+	// concurrent forwarding goroutines.
+	outMu sync.Mutex
+}
+
+// printf writes formatted output to the session's output under outMu.
+func (s *session) printf(format string, args ...any) {
+	s.outMu.Lock()
+	defer s.outMu.Unlock()
+	fmt.Fprintf(s.out, format, args...)
 }
 
 func run(protocolName string, tcp bool, debugAddr string, in io.Reader, out io.Writer) error {
@@ -160,7 +171,7 @@ func (s *session) execute(line string) (quit bool, err error) {
 		return false, s.stats(args)
 	case "settle":
 		s.grp.settle(3)
-		fmt.Fprintln(s.out, "  maintenance converged")
+		s.printf("  maintenance converged\n")
 	case "quit", "exit":
 		return true, nil
 	default:
@@ -170,7 +181,7 @@ func (s *session) execute(line string) (quit bool, err error) {
 }
 
 func (s *session) help() {
-	fmt.Fprint(s.out, `  create <addr> [capacity]        start a new group
+	s.printf(`  create <addr> [capacity]        start a new group
   join <addr> <via> [capacity]    join through an existing member
   leave <addr>                    graceful departure
   crash <addr>                    fail without notice
@@ -192,7 +203,7 @@ func (s *session) options(addr string, capacity int) camcast.Options {
 		Stabilize: -1, // the REPL drives maintenance via 'settle'
 		Fix:       -1,
 		OnDeliver: func(m camcast.Message) {
-			fmt.Fprintf(s.out, "  [%s] %s: %s (%d hops)\n", addr, m.From, m.Payload, m.Hops)
+			s.printf("  [%s] %s: %s (%d hops)\n", addr, m.From, m.Payload, m.Hops)
 		},
 	}
 }
@@ -220,7 +231,7 @@ func (s *session) create(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(s.out, "  %s bootstrapped at %s (id %d, capacity %d)\n", args[0], m.Addr(), m.ID(), m.Capacity())
+	s.printf("  %s bootstrapped at %s (id %d, capacity %d)\n", args[0], m.Addr(), m.ID(), m.Capacity())
 	return nil
 }
 
@@ -237,7 +248,7 @@ func (s *session) join(args []string) error {
 		return err
 	}
 	s.grp.settle(2)
-	fmt.Fprintf(s.out, "  %s joined via %s at %s (id %d, capacity %d)\n", args[0], args[1], m.Addr(), m.ID(), m.Capacity())
+	s.printf("  %s joined via %s at %s (id %d, capacity %d)\n", args[0], args[1], m.Addr(), m.ID(), m.Capacity())
 	return nil
 }
 
@@ -249,13 +260,13 @@ func (s *session) leaveOrCrash(args []string, crash bool) error {
 		if err := s.grp.crash(args[0]); err != nil {
 			return err
 		}
-		fmt.Fprintf(s.out, "  %s crashed\n", args[0])
+		s.printf("  %s crashed\n", args[0])
 		return nil
 	}
 	if err := s.grp.leave(args[0]); err != nil {
 		return err
 	}
-	fmt.Fprintf(s.out, "  %s left\n", args[0])
+	s.printf("  %s left\n", args[0])
 	return nil
 }
 
@@ -274,7 +285,7 @@ func (s *session) send(args []string) error {
 	// Deliveries print from protocol goroutines; give them a beat so the
 	// prompt returns after the output.
 	time.Sleep(20 * time.Millisecond)
-	fmt.Fprintf(s.out, "  message %s sent\n", msgID)
+	s.printf("  message %s sent\n", msgID)
 	return nil
 }
 
@@ -294,9 +305,9 @@ func (s *session) members() {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
 	for _, r := range rows {
-		fmt.Fprintf(s.out, "  %-12s id=%-12d capacity=%d\n", r.addr, r.id, r.cap)
+		s.printf("  %-12s id=%-12d capacity=%d\n", r.addr, r.id, r.cap)
 	}
-	fmt.Fprintf(s.out, "  %d members\n", len(rows))
+	s.printf("  %d members\n", len(rows))
 }
 
 func (s *session) groups() {
@@ -305,7 +316,7 @@ func (s *session) groups() {
 		if info.Protected {
 			prot = " (token-protected)"
 		}
-		fmt.Fprintf(s.out, "  %-16s flow=%#016x members=%d%s\n", info.Name, info.Flow, info.MemberCount, prot)
+		s.printf("  %-16s flow=%#016x members=%d%s\n", info.Name, info.Flow, info.MemberCount, prot)
 	}
 }
 
@@ -322,14 +333,14 @@ func (s *session) group(args []string) error {
 		if err := s.grp.groupCreate(args[1], token); err != nil {
 			return err
 		}
-		fmt.Fprintf(s.out, "  group %s created\n", args[1])
+		s.printf("  group %s created\n", args[1])
 		return nil
 	case "use":
 		name, err := s.grp.groupUse(args[1], token)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(s.out, "  now operating in group %s\n", name)
+		s.printf("  now operating in group %s\n", name)
 		return nil
 	}
 	return fmt.Errorf("usage: group create|use <name> [token]")
@@ -344,9 +355,9 @@ func (s *session) stats(args []string) error {
 		return err
 	}
 	st := m.Stats()
-	fmt.Fprintf(s.out, "  delivered=%d forwarded=%d duplicates=%d lookups=%d table-faults=%d\n",
+	s.printf("  delivered=%d forwarded=%d duplicates=%d lookups=%d table-faults=%d\n",
 		st.Delivered, st.Forwarded, st.Duplicates, st.Lookups, st.TableFaults)
-	fmt.Fprintf(s.out, "  acked=%d retries=%d repaired=%d lost=%d\n",
+	s.printf("  acked=%d retries=%d repaired=%d lost=%d\n",
 		st.ChildrenAcked, st.Retries, st.SegmentsRepaired, st.SegmentsLost)
 	return nil
 }

@@ -401,6 +401,9 @@ func TestAppendNeighborNodesAllocFree(t *testing.T) {
 		buf = n.AppendNeighborNodes(buf[:0], pos)
 		pos = (pos + 1) % n.Ring().Len()
 	})
+	if raceEnabled {
+		t.Skipf("race instrumentation allocates (%.1f per call); the gate runs without -race", avg)
+	}
 	if avg > 0 {
 		t.Fatalf("AppendNeighborNodes allocates %.1f times per call, want 0", avg)
 	}

@@ -275,10 +275,6 @@ func Run(cfg Config) (Result, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		// Loopback sockets between live processes fail fast; tighten the
-		// failure detector so crashed members are routed around within a
-		// few maintenance rounds instead of the 2s wide-area default.
-		tr.SuspicionWindow = 250 * time.Millisecond
 		tr.DialTimeout = 500 * time.Millisecond
 		tr.RPCTimeout = time.Second
 		if cfg.Metrics != nil {

@@ -357,7 +357,6 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				tcp.SuspicionWindow = 250 * time.Millisecond
 				tcp.DialTimeout = 500 * time.Millisecond
 				tcp.RPCTimeout = time.Second
 				if cfg.Metrics != nil {

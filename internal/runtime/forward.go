@@ -204,6 +204,7 @@ func (p *taskPool) worker(f func()) {
 // so a group in motion gets exactly the fresh lookups it got before the
 // memo existed. Failure-path resolution (retry, repair) bypasses the memo
 // on purpose: those callers just learned the topology view is wrong.
+// Only a memo miss counts as a table fault.
 func (n *Node) confirmSuccessor(y ring.ID) (NodeInfo, error) {
 	gen := n.topoGen.Load()
 	n.memoMu.Lock()
@@ -216,6 +217,7 @@ func (n *Node) confirmSuccessor(y ring.ID) (NodeInfo, error) {
 	}
 	n.memoMu.Unlock()
 
+	n.tableFaults.Add(1)
 	info, _, err := n.FindSuccessor(y)
 	if err != nil {
 		return NodeInfo{}, err
@@ -288,10 +290,10 @@ func (n *Node) noteLost() {
 }
 
 // forwardSegment delivers one planned segment to its child: resolve the
-// child (table slot, live successor, or on-demand lookup), send with the
-// per-child deadline, and on failure re-resolve and retry with backoff up
-// to ForwardRetries times. If every attempt fails the segment is handed to
-// repairSegment rather than dropped.
+// child (table slot, first successor not held suspect, or on-demand
+// lookup), send with the per-child deadline, and on failure re-resolve and
+// retry with backoff up to ForwardRetries times. If every attempt fails
+// the segment is handed to repairSegment rather than dropped.
 func (n *Node) forwardSegment(ctx context.Context, msgID string, source NodeInfo, payload payloadRef, cp childPlan, table []NodeInfo, hops int) {
 	s := n.space
 	x := n.self.ID
@@ -301,17 +303,15 @@ func (n *Node) forwardSegment(ctx context.Context, msgID string, source NodeInfo
 		ok    bool
 	)
 	if cp.viaSucc {
-		if live, liveOK := n.liveSuccessor(); liveOK {
-			child, ok = live, true
-		}
+		child, ok = n.liveSuccessor()
 	} else if idx, have := n.spec.slotIndex(cp.key); have && idx < len(table) {
 		child = table[idx]
 		ok = !child.zero()
 	}
 	resolved := false
-	if !ok || child.zero() || !n.net.Registered(child.Addr) {
-		// Table slot empty or stale: resolve on demand.
-		n.tableFaults.Add(1)
+	if !ok || child.zero() || n.isSuspect(child.Addr) {
+		// Table slot empty, or its occupant failed a recent call: resolve
+		// on demand.
 		info, err := n.confirmSuccessor(cp.y)
 		if err != nil {
 			// Resolution failed outright; try the repair path before
@@ -325,7 +325,6 @@ func (n *Node) forwardSegment(ctx context.Context, msgID string, source NodeInfo
 		// The table entry says nobody owns this segment, but a slot filled
 		// before closer members joined looks exactly the same. Confirm with
 		// a lookup before silently truncating the tree here.
-		n.tableFaults.Add(1)
 		info, err := n.confirmSuccessor(cp.y)
 		if err != nil {
 			// The confirmation itself failed — the network said no, not the
@@ -385,10 +384,11 @@ func (n *Node) forwardSegment(ctx context.Context, msgID string, source NodeInfo
 // the segment counted lost.
 //
 // The handoff covers (failedChild, segEnd], not the failed child itself.
-// When the transport still reports that child registered — it was lossy
-// or partitioned, not gone — it has missed the message, and that miss is
-// counted lost even though the rest of its segment was repaired. A child
-// the transport confirms dead is membership shrinkage and is not counted.
+// When the node does not hold that child suspect — its sends were lost,
+// not refused — it is presumed alive and to have missed the message, and
+// that miss is counted lost even though the rest of its segment was
+// repaired. A child the node's own sends found unreachable is presumed
+// gone: membership shrinkage, not counted.
 func (n *Node) repairSegment(ctx context.Context, msgID string, source NodeInfo, payload payloadRef, cp childPlan, failedChild NodeInfo, hops int) {
 	s := n.space
 	x := n.self.ID
@@ -429,9 +429,9 @@ func (n *Node) repairSegment(ctx context.Context, msgID string, source NodeInfo,
 }
 
 // noteChildMissed accounts a failed child left out of its segment's
-// repair handoff, unless the transport confirms it dead.
+// repair handoff, unless the node holds it suspect.
 func (n *Node) noteChildMissed(msgID string, child NodeInfo) {
-	if !n.net.Registered(child.Addr) {
+	if n.isSuspect(child.Addr) {
 		return
 	}
 	n.noteLost()
@@ -559,9 +559,9 @@ func (n *Node) floodOne(ctx context.Context, msgID string, source NodeInfo, payl
 // some neighbors could not be served, so members reachable only around the
 // failure still get it. Each node issues at most one reflood per message,
 // which keeps repair traffic bounded. Accounting covers only failedLive —
-// the neighbors still believed to be members; failures the transport
-// confirms dead trigger the reflood but count as neither repaired nor
-// lost (the member is gone, not missed).
+// the neighbors still believed to be members; neighbors the node holds
+// suspect trigger the reflood but count as neither repaired nor lost (the
+// member is presumed gone, not missed).
 func (n *Node) refloodRepair(ctx context.Context, msgID string, source NodeInfo, payload payloadRef, hops int, failedLive int, relays []NodeInfo) {
 	countLost := func() {
 		if failedLive == 0 {

@@ -300,15 +300,15 @@ func (n *Node) digitRoute(req findSuccReq, self, pred NodeInfo, hasPred bool) (r
 	}
 }
 
-// delegateSuccessor picks the farthest successor-list entry that is not
-// self, not suspect, and still believed reachable — the delegate for a
-// digit step whose slot is unfilled or whose occupant is suspect.
+// delegateSuccessor picks the farthest successor-list entry that is
+// neither self nor suspect — the delegate for a digit step whose slot is
+// unfilled or whose occupant is suspect.
 func (n *Node) delegateSuccessor(self NodeInfo) (NodeInfo, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for i := len(n.succRefs) - 1; i >= 0; i-- {
 		info := n.arena.Resolve(n.succRefs[i])
-		if info.zero() || info.Addr == self.Addr || n.isSuspect(info.Addr) || !n.net.Registered(info.Addr) {
+		if info.zero() || info.Addr == self.Addr || n.isSuspect(info.Addr) {
 			continue
 		}
 		return info, true
@@ -380,9 +380,9 @@ func (n *Node) greedyRoute(req findSuccReq, self NodeInfo, penalty int) (any, er
 		}
 	}
 
-	// Last resort: ride the ring through a live successor — unless it is
-	// suspect, in which case the ride would just time out again.
-	if live, ok := n.liveSuccessor(); ok && live.Addr != self.Addr && !n.isSuspect(live.Addr) {
+	// Last resort: ride the ring through the first successor not held
+	// suspect — a suspect one would just time out again.
+	if live, ok := n.liveSuccessor(); ok && live.Addr != self.Addr {
 		resp, err := n.call(live.Addr, kindFindSucc, findSuccReq{K: k, Hops: req.Hops + 1 + penalty})
 		if err == nil {
 			if r, ok := resp.(findSuccResp); ok {

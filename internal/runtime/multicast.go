@@ -175,18 +175,19 @@ func (n *Node) floodNeighbors(ctx context.Context, msgID string, source NodeInfo
 		return // caller gave up; don't account abandoned sends as losses
 	}
 
-	// Split failures by what the transport knows: a neighbor it confirms
-	// gone is membership shrinkage (the flood still refloods around the
-	// hole, but nothing was lost to a live member), while an unreachable
-	// neighbor still believed alive is accounted as repaired or lost.
+	// Split failures by what the failure detector says: a neighbor the
+	// node's sends found unreachable is presumed gone — membership
+	// shrinkage (the flood still refloods around the hole, but nothing
+	// was lost to a live member) — while one whose messages were merely
+	// lost is still believed alive and is accounted as repaired or lost.
 	failedLive, failedDead := 0, 0
 	var relays []NodeInfo
 	for i := range neighbors {
 		if needRepair[i] {
-			if n.net.Registered(neighbors[i].Addr) {
-				failedLive++
-			} else {
+			if n.isSuspect(neighbors[i].Addr) {
 				failedDead++
+			} else {
+				failedLive++
 			}
 		}
 		if isRelay[i] {

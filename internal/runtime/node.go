@@ -73,10 +73,6 @@ type Transport interface {
 	Register(addr string, h transport.Handler)
 	// Unregister detaches addr, making it unreachable.
 	Unregister(addr string)
-	// Registered reports whether addr is believed reachable. For remote
-	// transports this is a local liveness estimate (e.g. a recent-failure
-	// cache), not a guarantee.
-	Registered(addr string) bool
 }
 
 // The in-memory network must satisfy the node's transport contract, and so
@@ -139,13 +135,13 @@ type Config struct {
 	// CallTimeout optionally bounds every non-multicast RPC (lookups,
 	// stabilization, offers); zero leaves them unbounded.
 	CallTimeout time.Duration
-	// SuspicionWindow is how long a peer that failed an RPC with an
+	// SuspicionWindow is how long the node's failure detector holds a
+	// peer suspect after one of the node's own RPCs to it failed with an
 	// unreachability error (unreachable, partitioned, or deadline
-	// exceeded) is skipped as a routing detour — lookup candidates and
-	// last-resort ring rides. Direct child sends are never skipped, so
-	// suspicion only stops lookups from repeatedly timing out against a
-	// peer whose failure stabilization has not yet observed. Zero means
-	// the default (1s); negative disables suspicion.
+	// exceeded), unless the peer answers a later RPC first. A suspect is
+	// skipped as a routing detour and, when it is a forwarding child,
+	// re-resolved before the send; a ring pointer is dropped only when a
+	// call to its peer fails. Zero or negative means the default (1s).
 	SuspicionWindow time.Duration
 
 	// Clock is the time source for protocol-time decisions (suspicion
@@ -220,11 +216,8 @@ func (c *Config) applyDefaults() {
 	if c.CallTimeout < 0 {
 		c.CallTimeout = 0
 	}
-	switch {
-	case c.SuspicionWindow == 0:
+	if c.SuspicionWindow <= 0 {
 		c.SuspicionWindow = time.Second
-	case c.SuspicionWindow < 0:
-		c.SuspicionWindow = 0
 	}
 }
 
@@ -301,6 +294,9 @@ type Node struct {
 	// predCheck is set when a notify was refused in favour of the current
 	// predecessor; the next stabilization round pings that predecessor.
 	predCheck bool
+	// lastSucc is the successor whose failed call emptied the successor
+	// list, kept until stabilization rejoins the ring through it.
+	lastSucc NodeInfo
 
 	seen      *seenCache
 	reflooded *seenCache // message IDs this node already issued a reflood repair for
@@ -320,8 +316,13 @@ type Node struct {
 	rngMu    sync.Mutex
 	rngState uint64 // retry-jitter source (splitmix64), seeded from the node's ID
 
+	// The failure detector: peers whose last RPC from this node failed
+	// with an unreachability error, and when that suspicion expires.
+	// nsuspects mirrors len(suspects) so the per-child check on the
+	// forwarding path takes no lock while nobody is suspect.
 	suspectMu sync.Mutex
 	suspects  map[string]time.Time // addr -> suspicion expiry
+	nsuspects atomic.Int32
 
 	// topoGen counts membership-state writes — pred, successor list, table
 	// slots, suspicion changes — and gates the forwarding engine's segment
@@ -560,9 +561,8 @@ func (n *Node) Join(bootstrapAddr string) error {
 	// successor list as fallbacks. A lookup can name a member that has
 	// just died (its predecessor has not stabilized yet); a joiner holding
 	// only that corpse drops it on its first stabilization and is left a
-	// ring of one that no member knows of. A successor the failure
-	// detector reports gone is skipped by resolving the identifier just
-	// past it.
+	// ring of one that no member knows of. A successor this call found
+	// unreachable is skipped by resolving the identifier just past it.
 	var nb neighborsResp
 	for skips := 0; ; skips++ {
 		resp, err := n.call(succ.Addr, kindNeighbors, neighborsReq{})
@@ -570,7 +570,7 @@ func (n *Node) Join(bootstrapAddr string) error {
 			nb, _ = resp.(neighborsResp)
 			break
 		}
-		if skips == n.cfg.SuccListLen || n.net.Registered(succ.Addr) {
+		if skips == n.cfg.SuccListLen || !unreachable(err) {
 			return fmt.Errorf("runtime: join via %s: successor %s: %w", bootstrapAddr, succ.Addr, err)
 		}
 		if succ, err = n.joinLookup(bootstrapAddr, n.space.Add(succ.ID, 1)); err != nil {
@@ -729,44 +729,99 @@ func (n *Node) call(to, kind string, payload any) (any, error) {
 	return n.callCtx(ctx, to, kind, payload)
 }
 
-// callCtx issues one RPC under the caller's context. Every outcome feeds
-// the suspicion cache: unreachability errors mark the peer suspect for
-// SuspicionWindow, any response (including handler errors, which prove
-// reachability) clears it.
+// callCtx issues one RPC under the caller's context and feeds its outcome
+// to the failure detector (noteCallResult).
 func (n *Node) callCtx(ctx context.Context, to, kind string, payload any) (any, error) {
 	resp, err := n.net.Call(ctx, n.self.Addr, to, kind, payload)
 	n.noteCallResult(to, err)
 	return resp, err
 }
 
-// noteCallResult updates the suspicion cache after an RPC to addr.
-func (n *Node) noteCallResult(addr string, err error) {
-	if n.cfg.SuspicionWindow <= 0 {
-		return
+// suspectMaxLen bounds the failure detector's map: an insert past it
+// sweeps expired entries, then evicts the earliest-expiring ones, so a
+// long-lived node probing an unbounded stream of dead peers holds bounded
+// memory.
+const suspectMaxLen = 1024
+
+// unreachable reports whether a failed call could not reach its peer:
+// unreachable, partitioned, or past its deadline. The caller's own
+// cancellation says nothing about the peer, nor does a dropped message or
+// a handler error, which proves the peer is there.
+func unreachable(err error) bool {
+	if err == nil || errors.Is(err, context.Canceled) {
+		return false
 	}
-	unreachable := err != nil &&
-		(errors.Is(err, transport.ErrUnreachable) ||
-			errors.Is(err, transport.ErrPartitioned) ||
-			errors.Is(err, context.DeadlineExceeded) ||
-			errors.Is(err, os.ErrDeadlineExceeded))
+	return errors.Is(err, transport.ErrUnreachable) ||
+		errors.Is(err, transport.ErrPartitioned) ||
+		errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, os.ErrDeadlineExceeded)
+}
+
+// noteCallResult is the node's failure detector, and its only input is the
+// outcome of the node's own RPCs. A call that could not reach its peer
+// marks the peer suspect for SuspicionWindow and, if the peer is the
+// immediate successor, drops it from the successor list — whichever call
+// it was: stabilization, forwarding or lookup. A response clears the mark.
+// Nothing else prunes a ring pointer: suspicion alone can date from a
+// partition that has since healed.
+func (n *Node) noteCallResult(addr string, err error) {
+	if err == nil {
+		n.clearSuspect(addr)
+	} else if unreachable(err) {
+		n.markSuspect(addr)
+		n.dropSuccessor(addr)
+	}
+}
+
+// markSuspect records a failed call to addr, enforcing the map bound.
+// Eviction ties break by address so a replay evicts the same entry every
+// run.
+func (n *Node) markSuspect(addr string) {
+	now := n.clock.Now()
 	n.suspectMu.Lock()
 	defer n.suspectMu.Unlock()
-	_, suspect := n.suspects[addr]
-	if unreachable {
-		n.suspects[addr] = n.clock.Now().Add(n.cfg.SuspicionWindow)
-		if !suspect {
-			n.noteTopologyChange()
+	if _, ok := n.suspects[addr]; !ok {
+		n.noteTopologyChange()
+	}
+	n.suspects[addr] = now.Add(n.cfg.SuspicionWindow)
+	if len(n.suspects) > suspectMaxLen {
+		for a, until := range n.suspects {
+			if now.After(until) {
+				delete(n.suspects, a)
+			}
 		}
-	} else if suspect {
+	}
+	for len(n.suspects) > suspectMaxLen {
+		var oldest string
+		var oldestUntil time.Time
+		for a, until := range n.suspects {
+			if oldest == "" || until.Before(oldestUntil) || (until.Equal(oldestUntil) && a < oldest) {
+				oldest, oldestUntil = a, until
+			}
+		}
+		delete(n.suspects, oldest)
+	}
+	n.nsuspects.Store(int32(len(n.suspects)))
+}
+
+// clearSuspect forgets any suspicion of addr after it answered.
+func (n *Node) clearSuspect(addr string) {
+	if n.nsuspects.Load() == 0 {
+		return
+	}
+	n.suspectMu.Lock()
+	defer n.suspectMu.Unlock()
+	if _, ok := n.suspects[addr]; ok {
 		delete(n.suspects, addr)
+		n.nsuspects.Store(int32(len(n.suspects)))
 		n.noteTopologyChange()
 	}
 }
 
-// isSuspect reports whether addr failed an RPC within SuspicionWindow and
-// should be skipped as a routing detour.
+// isSuspect reports whether addr failed this node's last RPC to it within
+// SuspicionWindow.
 func (n *Node) isSuspect(addr string) bool {
-	if n.cfg.SuspicionWindow <= 0 {
+	if n.nsuspects.Load() == 0 {
 		return false
 	}
 	n.suspectMu.Lock()
@@ -777,6 +832,7 @@ func (n *Node) isSuspect(addr string) bool {
 	}
 	if n.clock.Now().After(until) {
 		delete(n.suspects, addr)
+		n.nsuspects.Store(int32(len(n.suspects)))
 		return false
 	}
 	return true
@@ -888,10 +944,10 @@ func (n *Node) handleNotify(req notifyReq) (any, error) {
 	}
 	accepted := false
 	pred, hasPred := n.predLocked()
-	// A predecessor the transport's failure detector has dropped no longer
-	// gates candidates: its identifier would otherwise veto every live
-	// notifier ahead of it until some RPC happens to mark it suspect here.
-	if hasPred && pred.Addr != n.self.Addr && !n.net.Registered(pred.Addr) {
+	// A predecessor this node holds suspect no longer gates candidates:
+	// its identifier would otherwise veto every live notifier ahead of it.
+	// If it was alive after all, its own next notify takes the slot back.
+	if hasPred && pred.Addr != n.self.Addr && n.isSuspect(pred.Addr) {
 		n.setPredLocked(NodeInfo{})
 		hasPred = false
 	}
@@ -902,7 +958,7 @@ func (n *Node) handleNotify(req notifyReq) (any, error) {
 	} else if c.Addr != pred.Addr {
 		// c believes it directly precedes this node, yet pred sits between
 		// them: either c is behind on stabilization or pred is dead and no
-		// RPC has told the failure detector yet. Nothing here ever calls
+		// RPC has told this node's failure detector yet. Nothing here calls
 		// the predecessor, so a dead one would veto every live candidate
 		// for good; have the next stabilization round check it.
 		n.predCheck = true
@@ -944,26 +1000,38 @@ func (n *Node) handleLeaving(req leavingReq) (any, error) {
 // StabilizeOnce runs one round of Chord stabilization: verify the successor,
 // adopt a closer one if the successor knows of it, refresh the successor
 // list, and notify the successor of our existence.
+//
+// Every ring pointer is dropped on the outcome of a call to its peer,
+// never on suspicion alone: suspicion can date from a partition that has
+// since healed, and a pointer dropped then is a ring edge no notify
+// restores.
 func (n *Node) StabilizeOnce() {
-	succ, ok := n.liveSuccessor()
-	if !ok {
+	n.mu.Lock()
+	succ, ok := n.succHeadLocked()
+	stopped, last := n.stopped, n.lastSucc
+	n.mu.Unlock()
+	if stopped || !ok {
 		return
 	}
 	if succ.Addr == n.self.Addr {
-		return // alone in the ring
+		// Alone in the ring. A node whose successor list ran out — every
+		// entry failed a call, as a partition does to the members it cuts
+		// off — retries the last of them each round; once the partition
+		// heals, the predecessor walk below leads it back to its place.
+		if last.zero() {
+			return
+		}
+		succ = last
 	}
 
 	resp, err := n.call(succ.Addr, kindNeighbors, neighborsReq{})
 	if err != nil {
-		// A lossy link is not a dead successor. Severing the ring edge on
-		// one failed RPC lets a burst-loss window erode successor lists
-		// until the ring fragments into disjoint cycles — which incoming
-		// notifies can never rejoin, so the damage outlives the fault.
-		// Drop only a successor the transport's failure detector says is
-		// gone; a live one stays and is retried next round.
-		if !n.net.Registered(succ.Addr) {
-			n.dropSuccessor(succ)
-		}
+		// A successor this call could not reach is already dropped
+		// (noteCallResult). A lossy link is not a dead successor: one
+		// that only lost a message stays and is retried next round —
+		// severing ring edges on lost messages lets a burst-loss window
+		// erode successor lists until the ring fragments into disjoint
+		// cycles, which incoming notifies can never rejoin.
 		return
 	}
 	nb, ok := resp.(neighborsResp)
@@ -971,33 +1039,39 @@ func (n *Node) StabilizeOnce() {
 		return
 	}
 
-	// Adopt the successor's predecessor if it sits between us — but only
-	// once it answers a neighbors call itself. The successor's pred pointer
-	// can dangle at a crashed member whose suspicion mark has expired
-	// (Registered alone says "not recently failed", not "alive"); adopting
-	// it unconfirmed makes the successor pointer oscillate between the dead
-	// candidate and the live successor every other round.
-	if nb.Pred != nil && nb.Pred.Addr != n.self.Addr &&
-		n.space.InOO(nb.Pred.ID, n.self.ID, succ.ID) &&
-		n.net.Registered(nb.Pred.Addr) {
-		if r2, err := n.call(nb.Pred.Addr, kindNeighbors, neighborsReq{}); err == nil {
-			if nb2, ok := r2.(neighborsResp); ok {
-				succ = *nb.Pred
-				nb = nb2
-			}
+	// Adopt the successor's predecessor while it sits between us — but
+	// only once it answers a neighbors call itself. The successor's pred
+	// pointer can dangle at a crashed member; adopting it unconfirmed makes
+	// the successor pointer oscillate between the dead candidate and the
+	// live successor every other round. Following the pointers back up to
+	// SuccListLen members re-links in one round a successor list that a
+	// partition eroded (each call that failed to reach the head dropped
+	// one entry).
+	for i := 0; i < n.cfg.SuccListLen && nb.Pred != nil && nb.Pred.Addr != n.self.Addr &&
+		n.space.InOO(nb.Pred.ID, n.self.ID, succ.ID); i++ {
+		r2, err := n.call(nb.Pred.Addr, kindNeighbors, neighborsReq{})
+		if err != nil {
+			break
 		}
+		nb2, ok := r2.(neighborsResp)
+		if !ok {
+			break
+		}
+		succ, nb = *nb.Pred, nb2
 	}
 
-	// A refused notify asked for the predecessor to be checked: one call
-	// either proves it alive or lets the failure detector mark it, so the
-	// pass below drops it.
+	// A refused notify, or a predecessor this node holds suspect, asks for
+	// the predecessor to be checked: one call either proves it alive or
+	// drops it below.
 	n.mu.Lock()
-	check := n.predCheck
-	n.predCheck = false
 	pred, hasPred := n.predLocked()
+	check := hasPred && pred.Addr != n.self.Addr && (n.predCheck || n.isSuspect(pred.Addr))
+	n.predCheck = false
 	n.mu.Unlock()
-	if check && hasPred && pred.Addr != n.self.Addr {
-		_, _ = n.call(pred.Addr, kindNeighbors, neighborsReq{})
+	predDead := false
+	if check {
+		_, err := n.call(pred.Addr, kindNeighbors, neighborsReq{})
+		predDead = unreachable(err)
 	}
 
 	// Rebuild the successor list: succ followed by its list, minus self.
@@ -1014,8 +1088,9 @@ func (n *Node) StabilizeOnce() {
 	}
 	n.mu.Lock()
 	n.setSuccsLocked(list)
+	n.lastSucc = NodeInfo{}
 	// Drop a dead predecessor so a live candidate can take its place.
-	if pred, ok := n.predLocked(); ok && pred.Addr != n.self.Addr && !n.net.Registered(pred.Addr) {
+	if cur, ok := n.predLocked(); predDead && ok && cur.Addr == pred.Addr {
 		n.setPredLocked(NodeInfo{})
 	}
 	n.noteTopologyChange()
@@ -1024,43 +1099,41 @@ func (n *Node) StabilizeOnce() {
 	_, _ = n.call(succ.Addr, kindNotify, notifyReq{Candidate: n.self})
 }
 
-// liveSuccessor returns the first reachable entry of the successor list,
-// pruning dead ones. ok is false only when the node is stopped.
+// liveSuccessor returns the first successor-list entry the node does not
+// hold suspect (self when alone), without pruning the ones it skips: only
+// a failed call drops a successor (noteCallResult). ok is false when the
+// node is stopped or holds every entry suspect.
 func (n *Node) liveSuccessor() (NodeInfo, bool) {
-	for {
-		n.mu.Lock()
-		if n.stopped || len(n.succRefs) == 0 {
-			stoppedOrEmpty := n.stopped
-			if !stoppedOrEmpty {
-				// Successor list exhausted: fall back to self; the ring
-				// will heal through incoming notifies.
-				n.setSuccSelfLocked()
-				n.noteTopologyChange()
-			}
-			self := n.self
-			n.mu.Unlock()
-			if stoppedOrEmpty {
-				return NodeInfo{}, false
-			}
-			return self, true
-		}
-		succ := n.arena.Resolve(n.succRefs[0])
-		n.mu.Unlock()
-		if succ.Addr == n.self.Addr || n.net.Registered(succ.Addr) {
-			return succ, true
-		}
-		n.dropSuccessor(succ)
-	}
-}
-
-// dropSuccessor removes a dead successor from the head of the list.
-func (n *Node) dropSuccessor(dead NodeInfo) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if head, ok := n.succHeadLocked(); ok && head.Addr == dead.Addr {
+	if n.stopped {
+		return NodeInfo{}, false
+	}
+	if len(n.succRefs) == 0 {
+		return n.self, true
+	}
+	for _, ref := range n.succRefs {
+		if info := n.arena.Resolve(ref); !n.isSuspect(info.Addr) {
+			return info, true
+		}
+	}
+	return NodeInfo{}, false
+}
+
+// dropSuccessor removes addr from the head of the successor list, if it
+// is there. When the list runs out the node falls back to itself and
+// remembers addr as lastSucc, for stabilization to rejoin through.
+func (n *Node) dropSuccessor(addr string) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if head, ok := n.succHeadLocked(); ok && head.Addr == addr && addr != n.self.Addr {
 		n.popSuccLocked()
+		if len(n.succRefs) == 0 {
+			n.lastSucc = head
+			n.setSuccSelfLocked()
+		}
 		n.noteTopologyChange()
-		n.emitf(obsv.KindRepair, "dropped dead successor %s", dead.Addr)
+		n.emitf(obsv.KindRepair, "dropped dead successor %s", addr)
 	}
 }
 

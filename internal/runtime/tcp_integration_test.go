@@ -221,12 +221,20 @@ func TestRemoteLookupExhaustionIsTyped(t *testing.T) {
 	}
 }
 
-// TestVetoedNotifyChecksDeadPredecessor: over TCP, Registered only knows
-// about recent call failures, and nothing calls a predecessor, so a crashed
-// predecessor used to veto every notify from the live member behind it for
-// good. The refused notify now makes the next stabilization round ping the
-// predecessor, which lets the failure detector drop it.
+// TestVetoedNotifyChecksDeadPredecessor: nothing calls a predecessor, so
+// over TCP a crashed predecessor used to veto every notify from the live
+// member behind it for good. The refused notify now makes the next
+// stabilization round ping the predecessor, and the failed ping drops it.
+// The crash is checked twice: with the member's whole process gone, and
+// with only the member gone from a host that still listens (its calls are
+// answered "no endpoint here", which must read as unreachable too).
 func TestVetoedNotifyChecksDeadPredecessor(t *testing.T) {
+	for _, hostUp := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hostUp=%v", hostUp), func(t *testing.T) { vetoedNotifyChecksDeadPredecessor(t, hostUp) })
+	}
+}
+
+func vetoedNotifyChecksDeadPredecessor(t *testing.T, hostUp bool) {
 	RegisterWireTypes()
 	space := ring.MustSpace(16)
 	var nodes []*Node
@@ -273,7 +281,7 @@ func TestVetoedNotifyChecksDeadPredecessor(t *testing.T) {
 
 	d.Stop()
 	for i, n := range nodes {
-		if n == d {
+		if n == d && !hostUp {
 			transports[i].Close()
 		}
 	}

@@ -8,7 +8,7 @@ type FaultKind int
 // Supported fault kinds.
 const (
 	// FaultCrash makes the listed endpoints unreachable (calls to and from
-	// them fail, Registered reports false) until the event heals.
+	// them fail with ErrUnreachable) until the event heals.
 	FaultCrash FaultKind = iota + 1
 	// FaultPartition places the listed endpoints into partition Partition
 	// while the event is active; calls across partitions fail.

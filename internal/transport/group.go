@@ -36,8 +36,8 @@ func GroupLabel(name string) uint64 {
 // ErrGroupBacklog is returned (wrapped) when a request is refused because
 // its group already has more than the transport's GroupBacklogLimit bytes
 // buffered and unflushed on the target connection. It is a local quota
-// rejection, not a peer failure: callers retry after backoff and the peer
-// is not marked suspect.
+// rejection, not a peer failure: callers retry after backoff and must not
+// count it against the peer.
 var ErrGroupBacklog = errors.New("transport: group backlog over quota")
 
 // groupTransport is the grouped endpoint contract both transports
@@ -46,14 +46,13 @@ type groupTransport interface {
 	CallGroup(ctx context.Context, gid uint64, from, to, kind string, payload any) (any, error)
 	RegisterGroup(gid uint64, addr string, h Handler)
 	UnregisterGroup(gid uint64, addr string)
-	RegisteredGroup(gid uint64, addr string) bool
 }
 
 // Flow is a single group's view of a shared transport: the same Call /
 // Register surface the runtime already consumes, with the group flow label
 // applied to every operation. Two Flows of the same transport share its
-// sockets, suspicion cache, and fault plan; only the endpoint namespace and
-// the per-group writer accounting are split by label.
+// sockets and fault plan; only the endpoint namespace and the per-group
+// writer accounting are split by label.
 type Flow struct {
 	t   groupTransport
 	gid uint64
@@ -78,9 +77,6 @@ func (f *Flow) Register(addr string, h Handler) { f.t.RegisterGroup(f.gid, addr,
 
 // Unregister removes addr's handler within this flow's group.
 func (f *Flow) Unregister(addr string) { f.t.UnregisterGroup(f.gid, addr) }
-
-// Registered reports whether addr looks reachable within this flow's group.
-func (f *Flow) Registered(addr string) bool { return f.t.RegisteredGroup(f.gid, addr) }
 
 // BlobPayloads reports whether the underlying transport delivers payloads
 // as pooled blobs (see TCP.BlobPayloads).

@@ -120,9 +120,9 @@ func (s *serverConn) handle(req parsedRequest) (errMsg string, errCode uint64, p
 	s.t.mu.Unlock()
 	if h == nil {
 		if req.gid != DefaultGroup {
-			return fmt.Sprintf("transport: no endpoint %q in group %d here", req.to, req.gid), 0, nil, decoded
+			return fmt.Sprintf("transport: no endpoint %q in group %d here", req.to, req.gid), statusNoEndpoint, nil, decoded
 		}
-		return fmt.Sprintf("transport: no endpoint %q here", req.to), 0, nil, decoded
+		return fmt.Sprintf("transport: no endpoint %q here", req.to), statusNoEndpoint, nil, decoded
 	}
 	resp, herr := h(req.from, req.kind, decoded)
 	if herr != nil {

@@ -14,7 +14,14 @@ import "errors"
 // sync.Once) before any traffic flows, so the table needs no locking.
 const maxStatusCode = 64
 
-var statusSentinels [maxStatusCode]error
+// statusNoEndpoint classifies the serving side's "no endpoint here" reply —
+// the host is up but nothing is registered at that address in that group,
+// as after a member leaves a host that still serves other groups. It
+// rehydrates as ErrUnreachable, which the in-memory network returns for
+// the same case.
+const statusNoEndpoint = 2
+
+var statusSentinels = [maxStatusCode]error{statusNoEndpoint: ErrUnreachable}
 
 // RegisterStatusError binds a wire status code (1..63) to a sentinel
 // error. Re-registering the same pairing is a no-op; rebinding a code to a

@@ -28,9 +28,8 @@ import (
 // connection, so a slow handler neither delays the decoding of later
 // requests nor blocks faster handlers' responses.
 //
-// Call failures mark the destination suspected for SuspicionWindow so that
-// Registered() doubles as a cheap failure detector, matching what the
-// protocol layer expects from the in-memory transport.
+// A failed call reports a typed error (ErrUnreachable wrapping the cause)
+// and keeps no other record: failure detection is the caller's.
 type TCP struct {
 	listenAddr string
 	listener   net.Listener
@@ -39,12 +38,8 @@ type TCP struct {
 	local    map[uint64]map[string]Handler // group flow label -> addr -> handler
 	conns    map[string]*muxConn
 	accepted map[net.Conn]bool
-	suspects map[string]time.Time
 	closed   bool
 
-	// SuspicionWindow is how long a destination stays "not Registered"
-	// after a failed call. Mutable before first use; default 2s.
-	SuspicionWindow time.Duration
 	// DialTimeout bounds connection establishment; default 2s.
 	DialTimeout time.Duration
 	// RPCTimeout bounds each request/response exchange (a per-call timer —
@@ -81,16 +76,7 @@ type TCP struct {
 // ErrClosed reports use of a closed TCP transport.
 var ErrClosed = errors.New("transport: tcp transport closed")
 
-const (
-	defaultServerWorkers = 32
-
-	// suspectSweepLen is the suspects-map size beyond which an insert
-	// sweeps expired entries; suspectMaxLen hard-caps the map by evicting
-	// the stalest entries, so probing an unbounded stream of dead peers
-	// cannot grow memory without bound.
-	suspectSweepLen = 128
-	suspectMaxLen   = 1024
-)
+const defaultServerWorkers = 32
 
 // NewTCP starts a TCP transport listening on listenAddr (use
 // "127.0.0.1:0" to pick a free port; Addr() returns the bound address).
@@ -100,15 +86,13 @@ func NewTCP(listenAddr string) (*TCP, error) {
 		return nil, fmt.Errorf("transport: listen %s: %w", listenAddr, err)
 	}
 	t := &TCP{
-		listenAddr:      l.Addr().String(),
-		listener:        l,
-		local:           make(map[uint64]map[string]Handler),
-		conns:           make(map[string]*muxConn),
-		accepted:        make(map[net.Conn]bool),
-		suspects:        make(map[string]time.Time),
-		SuspicionWindow: 2 * time.Second,
-		DialTimeout:     2 * time.Second,
-		RPCTimeout:      10 * time.Second,
+		listenAddr:  l.Addr().String(),
+		listener:    l,
+		local:       make(map[uint64]map[string]Handler),
+		conns:       make(map[string]*muxConn),
+		accepted:    make(map[net.Conn]bool),
+		DialTimeout: 2 * time.Second,
+		RPCTimeout:  10 * time.Second,
 	}
 	t.sweep = newDeadlineSweeper(t)
 	t.wg.Add(1)
@@ -153,10 +137,6 @@ func (t *TCP) Register(addr string, h Handler) { t.RegisterGroup(DefaultGroup, a
 // Unregister detaches a locally hosted default-group endpoint.
 func (t *TCP) Unregister(addr string) { t.UnregisterGroup(DefaultGroup, addr) }
 
-// Registered reports whether addr is believed reachable in the default
-// group.
-func (t *TCP) Registered(addr string) bool { return t.RegisteredGroup(DefaultGroup, addr) }
-
 // RegisterGroup attaches a handler for a locally hosted endpoint within
 // group gid. The same address may host an endpoint in any number of groups;
 // inbound frames carry the group label and route to the matching handler.
@@ -183,29 +163,6 @@ func (t *TCP) UnregisterGroup(gid uint64, addr string) {
 	if len(eps) == 0 {
 		delete(t.local, gid)
 	}
-}
-
-// RegisteredGroup reports whether addr is believed reachable within group
-// gid: local endpoints must be registered here under that group; remote
-// endpoints are reachable unless a call to them failed within
-// SuspicionWindow (suspicion is per host, not per group — the failure was a
-// socket's, and all groups share it).
-func (t *TCP) RegisteredGroup(gid uint64, addr string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return false
-	}
-	if addr == t.listenAddr || t.local[gid][addr] != nil {
-		return t.local[gid][addr] != nil
-	}
-	if at, ok := t.suspects[addr]; ok {
-		if time.Since(at) < t.SuspicionWindow {
-			return false
-		}
-		delete(t.suspects, addr)
-	}
-	return true
 }
 
 // LabelGroup names a group for this transport's per-group metrics, so
@@ -278,11 +235,10 @@ func (t *TCP) dispatch(ctx context.Context, gid uint64, from, to, kind string, p
 		var encErr *encodeError
 		if errors.As(err, &encErr) {
 			// A local quota rejection or unencodable payload, not a peer
-			// failure: the call never left this process, so the peer must
-			// not be marked suspect.
+			// failure: the call never left this process, so it is not
+			// reported unreachable.
 			return nil, err
 		}
-		t.suspect(to)
 		return nil, fmt.Errorf("%s -> %s (%s): %w: %w", from, to, kind, ErrUnreachable, err)
 	}
 	return resp, nil
@@ -290,7 +246,7 @@ func (t *TCP) dispatch(ctx context.Context, gid uint64, from, to, kind string, p
 
 // handlerError wraps an error string the remote handler returned (plus its
 // wire status code), to keep it distinct from transport-level failures
-// (which trigger suspicion).
+// (which are reported as ErrUnreachable).
 type handlerError struct {
 	msg  string
 	code uint64
@@ -366,35 +322,6 @@ func (t *TCP) dropConn(to string, c *muxConn) {
 	defer t.mu.Unlock()
 	if t.conns[to] == c {
 		delete(t.conns, to)
-	}
-}
-
-// suspect records a failed call to addr. Inserts sweep expired entries once
-// the map grows past suspectSweepLen and hard-cap the map at suspectMaxLen
-// by evicting the stalest entries, so a long-lived node probing many dead
-// peers cannot leak memory.
-func (t *TCP) suspect(addr string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := time.Now()
-	t.suspects[addr] = now
-	if len(t.suspects) <= suspectSweepLen {
-		return
-	}
-	for a, at := range t.suspects {
-		if now.Sub(at) >= t.SuspicionWindow {
-			delete(t.suspects, a)
-		}
-	}
-	for len(t.suspects) > suspectMaxLen {
-		var oldest string
-		var oldestAt time.Time
-		for a, at := range t.suspects {
-			if oldest == "" || at.Before(oldestAt) {
-				oldest, oldestAt = a, at
-			}
-		}
-		delete(t.suspects, oldest)
 	}
 }
 

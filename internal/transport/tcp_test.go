@@ -94,9 +94,9 @@ func TestTCPHandlerError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v", err)
 	}
-	// A handler error is not a transport failure: b stays reachable.
-	if !a.Registered(b.Addr()) {
-		t.Fatal("handler error should not mark the peer suspected")
+	// A handler error is not a transport failure.
+	if errors.Is(err, ErrUnreachable) {
+		t.Fatalf("handler error reported as unreachable: %v", err)
 	}
 }
 
@@ -105,6 +105,11 @@ func TestTCPUnknownEndpoint(t *testing.T) {
 	_, err := a.Call(context.Background(), "client", b.Addr(), "x", echoPayload{}) // nothing registered at b
 	if err == nil || !strings.Contains(err.Error(), "no endpoint") {
 		t.Fatalf("err = %v", err)
+	}
+	// The host answered, but the endpoint is gone: the same ErrUnreachable
+	// the in-memory network reports, so callers detect it the same way.
+	if !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("err = %v, want ErrUnreachable", err)
 	}
 }
 
@@ -134,7 +139,7 @@ func TestTCPUnencodablePayload(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no binary wire encoding") {
 		t.Fatalf("unregistered request payload: err = %v, want an encode failure", err)
 	}
-	if errors.Is(err, ErrUnreachable) || !a.Registered(b.Addr()) {
+	if errors.Is(err, ErrUnreachable) {
 		t.Fatalf("an encode failure marked the peer unreachable: %v", err)
 	}
 	_, err = call("bad-response", echoPayload{})
@@ -157,29 +162,23 @@ func TestTCPUnencodablePayload(t *testing.T) {
 	}
 }
 
-func TestTCPUnreachableAndSuspicion(t *testing.T) {
+// TestTCPUnreachable: a call to a dead peer fails with ErrUnreachable, and
+// so does every later one — the transport keeps no record of the failure
+// that could change its answer.
+func TestTCPUnreachable(t *testing.T) {
 	registerEchoPayload()
 	a, err := NewTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.SuspicionWindow = 50 * time.Millisecond
 	a.DialTimeout = 200 * time.Millisecond
 
 	dead := "127.0.0.1:1" // nothing listens here
-	if !a.Registered(dead) {
-		t.Fatal("unknown peer should start as reachable")
-	}
-	if _, err := a.Call(context.Background(), "client", dead, "x", echoPayload{}); !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("err = %v, want ErrUnreachable", err)
-	}
-	if a.Registered(dead) {
-		t.Fatal("failed peer should be suspected")
-	}
-	time.Sleep(60 * time.Millisecond)
-	if !a.Registered(dead) {
-		t.Fatal("suspicion should expire")
+	for i := 0; i < 2; i++ {
+		if _, err := a.Call(context.Background(), "client", dead, "x", echoPayload{}); !errors.Is(err, ErrUnreachable) {
+			t.Fatalf("call %d: err = %v, want ErrUnreachable", i, err)
+		}
 	}
 }
 
@@ -195,8 +194,8 @@ func TestTCPUnregister(t *testing.T) {
 	if _, err := a.Call(context.Background(), "c", b.Addr(), "x", echoPayload{}); err == nil {
 		t.Fatal("call to unregistered endpoint should fail")
 	}
-	if b.Registered(b.Addr()) {
-		t.Fatal("local endpoint should report unregistered")
+	if _, err := b.Call(context.Background(), "c", b.Addr(), "x", echoPayload{}); err == nil {
+		t.Fatal("local call to unregistered endpoint should fail")
 	}
 }
 
@@ -265,9 +264,6 @@ func TestTCPCloseIdempotentAndRejects(t *testing.T) {
 	}
 	if _, err := a.Call(context.Background(), "c", "anywhere", "x", echoPayload{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-	if a.Registered("anywhere") {
-		t.Fatal("closed transport should report nothing registered")
 	}
 }
 

@@ -91,10 +91,6 @@ func (n *Network) Register(addr string, h Handler) { n.RegisterGroup(DefaultGrou
 // crash or departure as seen by the rest of the network).
 func (n *Network) Unregister(addr string) { n.UnregisterGroup(DefaultGroup, addr) }
 
-// Registered reports whether addr currently has a default-group handler and
-// is not inside an active FaultPlan crash window.
-func (n *Network) Registered(addr string) bool { return n.RegisteredGroup(DefaultGroup, addr) }
-
 // RegisterGroup attaches a handler at addr within group gid. The same
 // address may host endpoints in any number of groups. The table is nested
 // (label, then address) rather than struct-keyed so the per-call lookup
@@ -121,19 +117,6 @@ func (n *Network) UnregisterGroup(gid uint64, addr string) {
 	if len(eps) == 0 {
 		delete(n.endpoints, gid)
 	}
-}
-
-// RegisteredGroup reports whether addr has a handler within group gid and
-// is not inside an active FaultPlan crash window (fault injection is
-// host-level: a crash window for an address hits it in every group).
-func (n *Network) RegisteredGroup(gid uint64, addr string) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if n.plan.CrashedAt(addr, n.calls) {
-		return false
-	}
-	_, ok := n.endpoints[gid][addr]
-	return ok
 }
 
 // SetLatency installs a per-link latency function; nil disables latency

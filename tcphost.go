@@ -17,9 +17,6 @@ import (
 // HostOptions configure a TCPHost's shared transport. The zero value is
 // ready to use.
 type HostOptions struct {
-	// SuspicionWindow tunes the transport's failure detector. Zero keeps
-	// the transport default (2s).
-	SuspicionWindow time.Duration
 	// DialTimeout bounds TCP connection establishment. Zero keeps the
 	// transport default (2s).
 	DialTimeout time.Duration
@@ -63,9 +60,6 @@ func NewTCPHost(listenAddr string, opts HostOptions) (*TCPHost, error) {
 	tr, err := transport.NewTCP(listenAddr)
 	if err != nil {
 		return nil, err
-	}
-	if opts.SuspicionWindow > 0 {
-		tr.SuspicionWindow = opts.SuspicionWindow
 	}
 	if opts.DialTimeout > 0 {
 		tr.DialTimeout = opts.DialTimeout
@@ -168,7 +162,7 @@ func (h *TCPHost) remove(gid uint64, m *Member) {
 }
 
 // listenOn starts a member of the given group on this host. Transport
-// settings in opts (SuspicionWindow, DialTimeout, RPCTimeout) are ignored
+// settings in opts (DialTimeout, RPCTimeout, GroupBacklogLimit) are ignored
 // here — they were fixed when the host was built. A member that owns the
 // host closes it when it leaves or closes.
 func (h *TCPHost) listenOn(gid uint64, group, via string, opts Options, owns bool) (*Member, error) {
@@ -242,7 +236,6 @@ func (g *Group) Listen(listenAddr, via string, opts Options) (*Member, error) {
 // member closes when it leaves or closes (ListenTCP, Group.Listen).
 func listenOwned(listenAddr string, gid uint64, group, via string, opts Options) (*Member, error) {
 	h, err := NewTCPHost(listenAddr, HostOptions{
-		SuspicionWindow:   opts.SuspicionWindow,
 		DialTimeout:       opts.DialTimeout,
 		RPCTimeout:        opts.RPCTimeout,
 		GroupBacklogLimit: opts.GroupBacklogLimit,
@@ -261,9 +254,8 @@ func listenOwned(listenAddr string, gid uint64, group, via string, opts Options)
 // ListenTCP starts a member on a real TCP socket at listenAddr (use
 // "127.0.0.1:0" to pick a free port). With via == "" the member bootstraps
 // a fresh group; otherwise it joins the group through the existing member
-// listening at via (a "host:port" string). Options.SuspicionWindow,
-// DialTimeout and RPCTimeout tune the transport's failure detection and
-// per-RPC deadlines.
+// listening at via (a "host:port" string). Options.DialTimeout and
+// RPCTimeout tune the transport's connection and per-RPC deadlines.
 //
 // ListenTCP is a thin wrapper over NewTCPHost plus a default-group
 // ListenOn: the member runs in the default group (flow label 0) on a
