@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"camcast/internal/obsv"
@@ -52,5 +53,60 @@ func TestObservedHotPathsStillEmit(t *testing.T) {
 	last := events[len(events)-1]
 	if got := fmt.Sprintf("%s/%s", last.Node, last.Detail); got != "traced-node/traced-node#9" {
 		t.Errorf("duplicate event = %q, want node traced-node detail traced-node#9", got)
+	}
+}
+
+// TestForwardPathAllocs gates the allocations one multicast costs per
+// delivery on a quiet, converged 16-member mem ring, in both modes. The
+// ceilings are the measured counts (5.12 for CAM-Chord, 10.62 for
+// CAM-Koorde) plus about one allocation per delivery of headroom. The
+// forward path builds no per-send timer context, no per-child closure and
+// no per-flood dedup map; bringing one back costs several allocations per
+// delivery and trips the gate.
+func TestForwardPathAllocs(t *testing.T) {
+	const members = 16
+	for _, tc := range []struct {
+		mode     Mode
+		capacity int
+		ceiling  float64 // allocs per delivery
+	}{
+		{ModeCAMChord, 4, 6},
+		{ModeCAMKoorde, 4, 12},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			c := newCluster(t, tc.mode, 16)
+			c.grow(members, tc.capacity)
+			src := c.live()[0]
+			msgID, err := src.Multicast([]byte("warm-up"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.checkExactlyOnce(msgID)
+
+			// Count deliveries without the cluster's per-message maps, so
+			// the gate measures the forward path, not the test's bookkeeping.
+			var delivered atomic.Int64
+			for _, n := range c.live() {
+				n.cfg.OnDeliver = func(Delivery) { delivered.Add(1) }
+			}
+			payload := []byte("alloc gate")
+			const runs = 50
+			allocs := testing.AllocsPerRun(runs, func() {
+				if _, err := src.Multicast(payload); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got := delivered.Load(); got != (runs+1)*members {
+				t.Fatalf("%d deliveries over %d multicasts, want %d each", got, runs+1, members)
+			}
+			perDelivery := allocs / members
+			t.Logf("%v: %.1f allocs per multicast, %.2f per delivery", tc.mode, allocs, perDelivery)
+			if raceEnabled {
+				return // race instrumentation allocates on its own
+			}
+			if perDelivery > tc.ceiling {
+				t.Errorf("%.2f allocs per delivery, want at most %.2f", perDelivery, tc.ceiling)
+			}
+		})
 	}
 }

@@ -193,6 +193,7 @@ func TestArenaConcurrentReadsDuringBulkInstall(t *testing.T) {
 				n.SuccessorList()
 				n.Predecessor()
 				n.tableSnapshot()
+				n.resolveSlots(n.planSegments(n.space.Sub(n.self.ID, 1)))
 			}
 		}(r)
 	}

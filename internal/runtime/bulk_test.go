@@ -12,6 +12,18 @@ import (
 	"camcast/internal/transport"
 )
 
+// tableSnapshot resolves the node's current slot contents, indexed like
+// its tableSpec. Unfilled slots are zero NodeInfos.
+func (n *Node) tableSnapshot() []NodeInfo {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := make([]NodeInfo, len(n.slotRefs))
+	for i, ref := range n.slotRefs {
+		out[i] = n.arena.Resolve(ref)
+	}
+	return out
+}
+
 // equivSize picks the equivalence-test population per mode, trimmed under
 // -short and under the race detector (whose instrumentation makes large
 // rings take minutes).

@@ -257,13 +257,26 @@ func TestChaosPartitionWindowChord(t *testing.T) {
 // member without waiting out the slow child's full latency even once, and
 // (2) the orphaned segment behind the unresponsive child is repaired, not
 // dropped. The slow child stays registered (so failure detection cannot
-// shortcut it) but its inbound link latency far exceeds the per-child
-// deadline.
+// shortcut it) but its inbound latency far exceeds the per-child deadline,
+// set either as the network's latency function or as a link delay. It also
+// pins the mem transport's side of the deadline contract: the per-child
+// deadline is a value on the context, not a timer closing Done(), and the
+// transport clips the simulated delay at it, so one send to the slow child
+// fails after about ForwardTimeout with an error that marks it suspect.
 func TestConcurrentFanoutSlowChild(t *testing.T) {
-	const slowLatency = 2 * time.Second
+	for _, slowBy := range []string{"latency", "link-delay"} {
+		t.Run(slowBy, func(t *testing.T) { concurrentFanoutSlowChild(t, slowBy) })
+	}
+}
+
+func concurrentFanoutSlowChild(t *testing.T, slowBy string) {
+	const (
+		slowLatency    = 2 * time.Second
+		forwardTimeout = 50 * time.Millisecond
+	)
 	c := newCluster(t, ModeCAMChord, 16)
 	c.tweak = func(cfg *Config) {
-		cfg.ForwardTimeout = 50 * time.Millisecond
+		cfg.ForwardTimeout = forwardTimeout
 		cfg.CallTimeout = 25 * time.Millisecond
 		cfg.RetryBackoff = time.Millisecond
 		cfg.ForwardRetries = 1
@@ -274,27 +287,52 @@ func TestConcurrentFanoutSlowChild(t *testing.T) {
 	origin := byID[0]
 	slow := byID[4]
 	slowAddr := slow.Self().Addr
-	c.net.SetLatency(func(from, to string) time.Duration {
-		if to == slowAddr {
-			return slowLatency
-		}
-		return 0
-	})
-	defer c.net.SetLatency(nil)
+	switch slowBy {
+	case "latency":
+		c.net.SetLatency(func(from, to string) time.Duration {
+			if to == slowAddr {
+				return slowLatency
+			}
+			return 0
+		})
+		defer c.net.SetLatency(nil)
+	case "link-delay":
+		c.net.SetLinkDelay("", slowAddr, slowLatency)
+		defer c.net.SetLinkDelay("", slowAddr, 0)
+	}
 
 	start := time.Now()
+	_, err := origin.sendTimed(context.Background(), slowAddr, kindPing, pingReq{})
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatal("a send to the slow child succeeded inside its deadline")
+	}
+	if elapsed < forwardTimeout || elapsed > forwardTimeout+slowLatency/4 {
+		t.Errorf("send to the slow child failed after %v, want about the %v deadline", elapsed, forwardTimeout)
+	}
+	if !unreachable(err) {
+		t.Errorf("deadline failure %v does not read as unreachable", err)
+	}
+	if !origin.isSuspect(slowAddr) {
+		t.Error("the slow child was not marked suspect after missing its deadline")
+	}
+	// Forget the probe's verdict: the multicast must meet the slow child
+	// in its table slot, not skip it as a known suspect.
+	origin.clearSuspect(slowAddr)
+
+	start = time.Now()
 	msgID, err := origin.Multicast([]byte("one slow child"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	elapsed := time.Since(start)
+	elapsed = time.Since(start)
 
 	// Far under the slow child's latency: the engine never waited it out.
 	if elapsed >= slowLatency {
 		t.Fatalf("multicast took %v, stalled on the slow child's %v latency", elapsed, slowLatency)
 	}
 	if elapsed > slowLatency/2 {
-		t.Errorf("multicast took %v; want well under %v (per-child deadline 50ms)", elapsed, slowLatency/2)
+		t.Errorf("multicast took %v; want well under %v (per-child deadline %v)", elapsed, slowLatency/2, forwardTimeout)
 	}
 	for _, n := range c.live() {
 		addr := n.Self().Addr

@@ -26,11 +26,14 @@ import (
 // childPlan is one entry of a CAM-Chord dispatch plan: the target
 // identifier y whose successor becomes the child, the table slot expected
 // to hold it, and the end of the segment (child, segEnd] delegated to it.
+// slot is that table slot's occupant (zero when unfilled), resolved by
+// resolveSlots before the fan-out.
 type childPlan struct {
 	y       ring.ID
 	key     tableKey
 	viaSucc bool
 	segEnd  ring.ID
+	slot    NodeInfo
 }
 
 // planSegments splits (self, k] across up to c_x children, exactly as the
@@ -47,7 +50,7 @@ func (n *Node) planSegments(k ring.ID) []childPlan {
 	}
 
 	kk := k
-	var plan []childPlan
+	plan := make([]childPlan, 0, c)
 	add := func(y ring.ID, key tableKey, viaSucc bool) {
 		if s.Dist(x, kk) == 0 || !s.InOC(y, x, kk) {
 			return
@@ -81,6 +84,22 @@ func (n *Node) planSegments(k ring.ID) []childPlan {
 	return plan
 }
 
+// resolveSlots fills in the table occupant of every planned child under
+// one hold of n.mu, so all children of a fan-out see one consistent view
+// of the table. Only the planned slots are resolved, not the whole table.
+func (n *Node) resolveSlots(plan []childPlan) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for i := range plan {
+		if plan[i].viaSucc {
+			continue
+		}
+		if idx, ok := n.spec.slotIndex(plan[i].key); ok && idx < len(n.slotRefs) {
+			plan[i].slot = n.arena.Resolve(n.slotRefs[idx])
+		}
+	}
+}
+
 // fanOut runs one task per item concurrently, bounded by ForwardParallel
 // in flight at once (ForwardParallel-1 pool lanes plus the caller's own
 // goroutine), and waits for all of them. With ForwardParallel == 1
@@ -97,7 +116,8 @@ func (n *Node) planSegments(k ring.ID) []childPlan {
 // dominant cost of high-fan-out dissemination over TCP. Handoff is
 // non-blocking — with no lane free the caller runs the task itself — so a
 // nested fan-out (a member of the same process forwarding onward) degrades
-// to inline execution instead of deadlocking the shared pool.
+// to inline execution instead of deadlocking the shared pool. A handoff is
+// a poolTask value, not a closure, so it allocates nothing per child.
 func (n *Node) fanOut(count int, task func(i int)) {
 	if count == 1 {
 		task(0)
@@ -112,19 +132,29 @@ func (n *Node) fanOut(count int, task func(i int)) {
 	var wg sync.WaitGroup
 	pooled := 0
 	for i := 1; i < count; i++ {
-		f := func() {
-			defer wg.Done()
-			task(i)
-		}
+		pt := poolTask{run: task, i: i, wg: &wg}
 		wg.Add(1)
-		if pooled < n.cfg.ForwardParallel-1 && fwdPool.submit(f) {
+		if pooled < n.cfg.ForwardParallel-1 && fwdPool.submit(pt) {
 			pooled++
 		} else {
-			f()
+			pt.do()
 		}
 	}
 	task(0)
 	wg.Wait()
+}
+
+// poolTask is one fan-out item handed to a pool worker: run(i), then
+// wg.Done().
+type poolTask struct {
+	run func(int)
+	i   int
+	wg  *sync.WaitGroup
+}
+
+func (t poolTask) do() {
+	defer t.wg.Done()
+	t.run(t.i)
 }
 
 // fwdPool is the process-wide forward-worker pool. It is shared by every
@@ -134,13 +164,13 @@ func (n *Node) fanOut(count int, task func(i int)) {
 // quiescent process keeps no forward goroutines at all. The pool has no
 // queue: submit either wakes a parked worker, starts one (under the cap),
 // or reports failure and the caller runs the task itself.
-var fwdPool = &taskPool{tasks: make(chan func())}
+var fwdPool = &taskPool{tasks: make(chan poolTask)}
 
 const fwdIdleExit = time.Second
 
 type taskPool struct {
-	tasks   chan func()  // unbuffered: a send finds a parked worker or fails
-	workers atomic.Int32 // live workers, bounded by capacity()
+	tasks   chan poolTask // unbuffered: a send finds a parked worker or fails
+	workers atomic.Int32  // live workers, bounded by capacity()
 }
 
 func (p *taskPool) capacity() int32 {
@@ -150,12 +180,12 @@ func (p *taskPool) capacity() int32 {
 	return 16
 }
 
-// submit hands f to a warm worker, or starts a fresh one under the cap.
+// submit hands t to a warm worker, or starts a fresh one under the cap.
 // It never blocks; false means the pool is saturated and the caller should
-// run f itself.
-func (p *taskPool) submit(f func()) bool {
+// run t itself.
+func (p *taskPool) submit(t poolTask) bool {
 	select {
-	case p.tasks <- f:
+	case p.tasks <- t:
 		return true
 	default:
 	}
@@ -165,7 +195,7 @@ func (p *taskPool) submit(f func()) bool {
 			return false
 		}
 		if p.workers.CompareAndSwap(w, w+1) {
-			go p.worker(f)
+			go p.worker(t)
 			return true
 		}
 	}
@@ -174,11 +204,11 @@ func (p *taskPool) submit(f func()) bool {
 // worker runs its seed task, then parks on the task channel until the idle
 // grace expires. The first deep call chain grows this goroutine's stack
 // once; every task it picks up afterwards reuses the grown stack.
-func (p *taskPool) worker(f func()) {
+func (p *taskPool) worker(t poolTask) {
 	idle := time.NewTimer(fwdIdleExit)
 	defer idle.Stop()
 	for {
-		f()
+		t.do()
 		if !idle.Stop() {
 			select {
 			case <-idle.C:
@@ -187,7 +217,7 @@ func (p *taskPool) worker(f func()) {
 		}
 		idle.Reset(fwdIdleExit)
 		select {
-		case f = <-p.tasks:
+		case t = <-p.tasks:
 		case <-idle.C:
 			p.workers.Add(-1)
 			return
@@ -235,12 +265,44 @@ func (n *Node) confirmSuccessor(y ring.ID) (NodeInfo, error) {
 // sendTimed issues one child send under the per-child deadline, within the
 // caller's context.
 func (n *Node) sendTimed(ctx context.Context, to, kind string, payload any) (any, error) {
-	if d := n.cfg.ForwardTimeout; d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
+	return n.callCtx(withDeadline(ctx, n.cfg.ForwardTimeout), to, kind, payload)
+}
+
+// deadlineCtx is ctx bounded at a fixed instant without a timer: Deadline
+// reports the earlier of the parent's deadline and at, and Err reports
+// context.DeadlineExceeded once at has passed, but Done is the parent's and
+// does not close at at. The transport enforces the deadline by reading
+// Deadline (the TCP deadline sweeper, the mem transport's clipped delay),
+// so a child send costs one small allocation instead of the timer,
+// cancel closure and context that context.WithTimeout builds per call.
+type deadlineCtx struct {
+	context.Context
+	at time.Time
+}
+
+// withDeadline bounds ctx at d from now; d <= 0 leaves it unbounded.
+func withDeadline(ctx context.Context, d time.Duration) context.Context {
+	if d <= 0 {
+		return ctx
 	}
-	return n.callCtx(ctx, to, kind, payload)
+	return &deadlineCtx{Context: ctx, at: time.Now().Add(d)}
+}
+
+func (c *deadlineCtx) Deadline() (time.Time, bool) {
+	if d, ok := c.Context.Deadline(); ok && d.Before(c.at) {
+		return d, true
+	}
+	return c.at, true
+}
+
+func (c *deadlineCtx) Err() error {
+	if err := c.Context.Err(); err != nil {
+		return err
+	}
+	if !time.Now().Before(c.at) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // backoff sleeps before retry attempt (0-based), doubling the base delay
@@ -294,7 +356,7 @@ func (n *Node) noteLost() {
 // lookup), send with the per-child deadline, and on failure re-resolve and
 // retry with backoff up to ForwardRetries times. If every attempt fails
 // the segment is handed to repairSegment rather than dropped.
-func (n *Node) forwardSegment(ctx context.Context, msgID string, source NodeInfo, payload payloadRef, cp childPlan, table []NodeInfo, hops int) {
+func (n *Node) forwardSegment(ctx context.Context, msgID string, source NodeInfo, payload payloadRef, cp childPlan, hops int) {
 	s := n.space
 	x := n.self.ID
 
@@ -304,9 +366,8 @@ func (n *Node) forwardSegment(ctx context.Context, msgID string, source NodeInfo
 	)
 	if cp.viaSucc {
 		child, ok = n.liveSuccessor()
-	} else if idx, have := n.spec.slotIndex(cp.key); have && idx < len(table) {
-		child = table[idx]
-		ok = !child.zero()
+	} else {
+		child, ok = cp.slot, !cp.slot.zero()
 	}
 	resolved := false
 	if !ok || child.zero() || n.isSuspect(child.Addr) {
@@ -491,18 +552,19 @@ func (n *Node) noteRepaired(msgID string, segEnd ring.ID, to string) {
 }
 
 // floodOne runs the offer/accept handshake and payload delivery for one
-// CAM-Koorde neighbor, with retries on both phases. It reports whether the
+// CAM-Koorde neighbor, with retries on both phases. offer is the flood's
+// offerReq, boxed once and shared by every neighbor. It reports whether the
 // neighbor needs repair (unreachable, or reachable but the payload could
 // not be delivered) and whether it is a usable reflood relay (it responded
 // to an offer, so it either has the message or is about to decline it).
-func (n *Node) floodOne(ctx context.Context, msgID string, source NodeInfo, payload payloadRef, nb NodeInfo, hops int) (needRepair, relay bool) {
+func (n *Node) floodOne(ctx context.Context, msgID string, offer any, source NodeInfo, payload payloadRef, nb NodeInfo, hops int) (needRepair, relay bool) {
 	var want bool
 	offered := false
 	for attempt := 0; attempt <= n.cfg.ForwardRetries; attempt++ {
 		if attempt > 0 {
 			n.backoff(ctx, attempt-1)
 		}
-		resp, err := n.sendTimed(ctx, nb.Addr, kindOffer, offerReq{MsgID: msgID})
+		resp, err := n.sendTimed(ctx, nb.Addr, kindOffer, offer)
 		if err != nil {
 			if ctx.Err() != nil {
 				return false, false // caller canceled; not a neighbor failure

@@ -125,9 +125,9 @@ func (n *Node) spreadSegment(ctx context.Context, msgID string, source NodeInfo,
 		return
 	}
 	start := time.Now()
-	table := n.tableSnapshot()
+	n.resolveSlots(plan)
 	n.fanOut(len(plan), func(i int) {
-		n.forwardSegment(ctx, msgID, source, payload, plan[i], table, hops)
+		n.forwardSegment(ctx, msgID, source, payload, plan[i], hops)
 	})
 	n.obs.spreadTime.ObserveDuration(time.Since(start))
 }
@@ -165,10 +165,12 @@ func (n *Node) floodNeighbors(ctx context.Context, msgID string, source NodeInfo
 		return
 	}
 	start := time.Now()
-	needRepair := make([]bool, len(neighbors))
-	isRelay := make([]bool, len(neighbors))
+	type outcome struct{ needRepair, relay bool }
+	outcomes := make([]outcome, len(neighbors))
+	var offer any = offerReq{MsgID: msgID}
 	n.fanOut(len(neighbors), func(i int) {
-		needRepair[i], isRelay[i] = n.floodOne(ctx, msgID, source, payload, neighbors[i], hops)
+		o := &outcomes[i]
+		o.needRepair, o.relay = n.floodOne(ctx, msgID, offer, source, payload, neighbors[i], hops)
 	})
 	n.obs.spreadTime.ObserveDuration(time.Since(start))
 	if ctx.Err() != nil {
@@ -181,22 +183,26 @@ func (n *Node) floodNeighbors(ctx context.Context, msgID string, source NodeInfo
 	// was lost to a live member) — while one whose messages were merely
 	// lost is still believed alive and is accounted as repaired or lost.
 	failedLive, failedDead := 0, 0
-	var relays []NodeInfo
-	for i := range neighbors {
-		if needRepair[i] {
-			if n.isSuspect(neighbors[i].Addr) {
-				failedDead++
-			} else {
-				failedLive++
-			}
+	for i, o := range outcomes {
+		if !o.needRepair {
+			continue
 		}
-		if isRelay[i] {
+		if n.isSuspect(neighbors[i].Addr) {
+			failedDead++
+		} else {
+			failedLive++
+		}
+	}
+	if failedLive+failedDead == 0 {
+		return
+	}
+	var relays []NodeInfo
+	for i, o := range outcomes {
+		if o.relay {
 			relays = append(relays, neighbors[i])
 		}
 	}
-	if failedLive+failedDead > 0 {
-		n.refloodRepair(ctx, msgID, source, payload, hops, failedLive, relays)
-	}
+	n.refloodRepair(ctx, msgID, source, payload, hops, failedLive, relays)
 }
 
 // koordeNeighbors snapshots the node's current CAM-Koorde neighbor set:
@@ -208,13 +214,19 @@ func (n *Node) floodNeighbors(ctx context.Context, msgID string, source NodeInfo
 func (n *Node) koordeNeighbors() []NodeInfo {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	seen := map[string]bool{n.self.Addr: true}
-	out := make([]NodeInfo, 0, n.cfg.Capacity)
+	out := make([]NodeInfo, 0, len(n.slotRefs)+2)
+	// A linear scan of out dedups: it holds at most the table's slots plus
+	// predecessor and successor (about c_x), and a map per flood cost more
+	// than the scan.
 	add := func(info NodeInfo) {
-		if info.zero() || seen[info.Addr] {
+		if info.zero() || info.Addr == n.self.Addr {
 			return
 		}
-		seen[info.Addr] = true
+		for _, o := range out {
+			if o.Addr == info.Addr {
+				return
+			}
+		}
 		out = append(out, info)
 	}
 	if p, ok := n.predLocked(); ok {

@@ -67,7 +67,10 @@ type Transport interface {
 	// Call delivers one request and returns the remote handler's response.
 	// The context bounds the call: transports must give up (returning
 	// ctx.Err() or a wrapped equivalent) once the deadline passes, so one
-	// dead or slow peer cannot stall the caller indefinitely.
+	// dead or slow peer cannot stall the caller indefinitely. Call must
+	// read ctx.Deadline() and enforce it itself: the node bounds each RPC
+	// with a deadline that no timer backs, so Done() does not close when
+	// it passes (Done() closes only on the caller's own cancellation).
 	Call(ctx context.Context, from, to, kind string, payload any) (any, error)
 	// Register attaches the handler serving addr.
 	Register(addr string, h transport.Handler)
@@ -720,13 +723,7 @@ func (n *Node) loop(every time.Duration, tick func()) {
 // call issues one RPC from this node, bounded by Config.CallTimeout when
 // set. Multicast child sends use callCtx with the tighter ForwardTimeout.
 func (n *Node) call(to, kind string, payload any) (any, error) {
-	ctx := context.Background()
-	if d := n.cfg.CallTimeout; d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	return n.callCtx(ctx, to, kind, payload)
+	return n.callCtx(withDeadline(context.Background(), n.cfg.CallTimeout), to, kind, payload)
 }
 
 // callCtx issues one RPC under the caller's context and feeds its outcome
@@ -1150,12 +1147,7 @@ func (n *Node) RequestContext(ctx context.Context, addr string, payload []byte) 
 		return nil, ErrStopped
 	}
 	n.mu.Unlock()
-	if d := n.cfg.CallTimeout; d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	resp, err := n.callCtx(ctx, addr, kindApp, appReq{Payload: payload})
+	resp, err := n.callCtx(withDeadline(ctx, n.cfg.CallTimeout), addr, kindApp, appReq{Payload: payload})
 	if err != nil {
 		return nil, err
 	}

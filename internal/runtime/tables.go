@@ -222,16 +222,3 @@ func (n *Node) routingCandidates(k ring.ID) []NodeInfo {
 	}
 	return cands
 }
-
-// tableSnapshot resolves the current slot contents, indexed like the
-// node's tableSpec (resolve a tableKey with slotIndex). Unfilled slots are
-// zero NodeInfos.
-func (n *Node) tableSnapshot() []NodeInfo {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]NodeInfo, len(n.slotRefs))
-	for i, ref := range n.slotRefs {
-		out[i] = n.arena.Resolve(ref)
-	}
-	return out
-}

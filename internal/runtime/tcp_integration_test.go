@@ -1,11 +1,13 @@
 package runtime
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"camcast/internal/ring"
 	"camcast/internal/transport"
@@ -291,5 +293,87 @@ func vetoedNotifyChecksDeadPredecessor(t *testing.T, hostUp bool) {
 	p.StabilizeOnce() // p notifies x again
 	if pr, ok := x.Predecessor(); !ok || pr.Addr != p.Self().Addr {
 		t.Fatalf("after the crash %s has predecessor %v, want %s", x.Self().Addr, pr, p.Self().Addr)
+	}
+}
+
+// TestSendDeadlineOverTCP pins the TCP side of the per-child deadline
+// contract. The deadline a child send carries is a value on the context,
+// with no timer behind it to close Done(), so the transport's deadline
+// sweeper alone must fail a call whose handler blocks past ForwardTimeout,
+// and must do so at about ForwardTimeout, as unreachable, marking the peer
+// suspect. The caller cancelling its own context must still abort a call
+// in flight, without marking the peer.
+func TestSendDeadlineOverTCP(t *testing.T) {
+	RegisterWireTypes()
+	for _, tc := range []struct {
+		name           string
+		forwardTimeout time.Duration
+		cancelAfter    time.Duration // 0: never cancel
+	}{
+		{"deadline", 200 * time.Millisecond, 0},
+		{"cancel", time.Minute, 100 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			release := make(chan struct{})
+			peer, err := transport.NewTCP("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { peer.Close() })
+			t.Cleanup(func() { close(release) }) // before peer.Close: unblock the handler
+			peer.Register(peer.Addr(), func(from, kind string, payload any) (any, error) {
+				<-release
+				return pingResp{}, nil
+			})
+
+			tr, err := transport.NewTCP("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { tr.Close() })
+			n, err := NewNode(tr, tr.Addr(), Config{
+				Space: ring.MustSpace(16), Mode: ModeCAMChord, Capacity: 3,
+				ForwardTimeout: tc.forwardTimeout,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(n.Stop)
+			if err := n.Bootstrap(); err != nil {
+				t.Fatal(err)
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancelAfter > 0 {
+				time.AfterFunc(tc.cancelAfter, cancel)
+			}
+			start := time.Now()
+			_, err = n.sendTimed(ctx, peer.Addr(), kindPing, pingReq{})
+			elapsed := time.Since(start)
+			if err == nil {
+				t.Fatal("a call to a blocked handler succeeded")
+			}
+			want := tc.forwardTimeout
+			if tc.cancelAfter > 0 {
+				want = tc.cancelAfter
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("err = %v, want the caller's cancellation", err)
+				}
+				if n.isSuspect(peer.Addr()) {
+					t.Error("the caller's own cancellation marked the peer suspect")
+				}
+			} else {
+				if !unreachable(err) {
+					t.Errorf("err = %v, want one that reads as unreachable", err)
+				}
+				if !n.isSuspect(peer.Addr()) {
+					t.Error("the peer was not marked suspect after missing its deadline")
+				}
+			}
+			if elapsed < want || elapsed > want+time.Second {
+				t.Errorf("call failed after %v, want about %v", elapsed, want)
+			}
+		})
 	}
 }

@@ -342,18 +342,33 @@ func (n *Network) dispatch(ctx context.Context, gid uint64, from, to, kind strin
 	return h(from, kind, payload)
 }
 
-// sleepCtx sleeps for d or until ctx is done, whichever comes first.
+// sleepCtx sleeps for d, or until ctx is done or its deadline passes,
+// whichever comes first. The deadline is read from ctx.Deadline(), not
+// waited for on Done(): a caller may bound a call with a deadline no timer
+// closes Done() for. A sleep clipped at the deadline reports
+// context.DeadlineExceeded.
 func sleepCtx(ctx context.Context, d time.Duration) error {
-	if ctx.Done() == nil {
-		time.Sleep(d)
-		return nil
+	clipped := false
+	if at, ok := ctx.Deadline(); ok {
+		if left := time.Until(at); left < d {
+			d, clipped = left, true
+		}
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	if d > 0 {
+		if ctx.Done() == nil {
+			time.Sleep(d)
+		} else {
+			t := time.NewTimer(d)
+			defer t.Stop()
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
 	}
+	if clipped {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
