@@ -36,7 +36,7 @@ const (
 	MetricLookupHops      = "runtime.lookup.hops"              // histogram: hops per completed lookup
 	MetricMulticastTime   = "runtime.multicast.tree_seconds"   // histogram: full dissemination-tree completion time at the source
 	MetricEventsDropped   = "runtime.events.subscriber_drops"  // counter: bus events dropped across detached rings (daemon-level)
-	MetricSegmentSpread   = "runtime.multicast.spread_seconds" // histogram: per-node segment spread time
+	MetricSegmentSpread   = "runtime.multicast.spread_seconds" // histogram: per-node segment spread time, observed only for spreads with a child to send to
 	MetricJoinTime        = "runtime.join.seconds"             // histogram: wall time for Join (bootstrap lookup + first stabilize)
 	MetricLeaveTime       = "runtime.leave.seconds"            // histogram: wall time for a graceful Leave's splice-out RPCs
 

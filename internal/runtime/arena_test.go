@@ -147,9 +147,9 @@ func TestArenaDeadRefPanics(t *testing.T) {
 }
 
 // TestArenaConcurrentReadsDuringBulkInstall: shard-local readers (Resolve
-// via the public accessors) race a parallel BulkInstall over a shared
-// arena. Run under -race this is the memory-ordering check for the
-// lock-free Resolve path.
+// via the public accessors and via resolvePlan, which a spread runs before
+// its fan-out) race a parallel BulkInstall over a shared arena. Run under
+// -race this is the memory-ordering check for the lock-free Resolve path.
 func TestArenaConcurrentReadsDuringBulkInstall(t *testing.T) {
 	space, err := ring.NewSpace(32)
 	if err != nil {
@@ -193,7 +193,7 @@ func TestArenaConcurrentReadsDuringBulkInstall(t *testing.T) {
 				n.SuccessorList()
 				n.Predecessor()
 				n.tableSnapshot()
-				n.resolveSlots(n.planSegments(n.space.Sub(n.self.ID, 1)))
+				n.resolvePlan(n.planSegments(n.space.Sub(n.self.ID, 1), nil))
 			}
 		}(r)
 	}

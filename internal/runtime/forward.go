@@ -16,41 +16,42 @@ import (
 // This file is the resilient forwarding engine shared by both CAM modes:
 // concurrent child fan-out with per-child deadlines, bounded retry with
 // exponential backoff and jitter, and orphan-segment repair. The dispatch
-// plan for a message is computed first (pure ring arithmetic), then every
-// child send runs on its own goroutine under a per-fan-out in-flight limit,
-// so one dead or slow child delays only its own segment, never its
-// siblings. The limit is scoped to one fan-out rather than the whole node:
-// repair handoffs can re-enter spreadSegment on a node whose earlier
-// fan-out is still blocked, and a node-wide semaphore would deadlock there.
+// plan for a message is computed first (pure ring arithmetic) and resolved
+// from the node's own state, then every child send runs on its own
+// goroutine under a per-fan-out in-flight limit, so one dead or slow child
+// delays only its own segment, never its siblings. The limit is scoped to
+// one fan-out rather than the whole node: repair handoffs can re-enter
+// spreadSegment on a node whose earlier fan-out is still blocked, and a
+// node-wide semaphore would deadlock there.
 
 // childPlan is one entry of a CAM-Chord dispatch plan: the target
 // identifier y whose successor becomes the child, the table slot expected
 // to hold it, and the end of the segment (child, segEnd] delegated to it.
-// slot is that table slot's occupant (zero when unfilled), resolved by
-// resolveSlots before the fan-out.
+// to is the child that resolvePlan resolved from the node's own state
+// before the fan-out; it is zero when only a routed lookup can tell.
 type childPlan struct {
 	y       ring.ID
 	key     tableKey
 	viaSucc bool
 	segEnd  ring.ID
-	slot    NodeInfo
+	to      NodeInfo
 }
 
 // planSegments splits (self, k] across up to c_x children, exactly as the
 // static algorithm in internal/camchord: level-i neighbors preceding k,
-// then evenly spaced level-(i-1) children, then the successor. Segment
-// boundaries depend only on ring arithmetic, never on send outcomes, so
-// the plan can be dispatched concurrently.
-func (n *Node) planSegments(k ring.ID) []childPlan {
+// then evenly spaced level-(i-1) children, then the successor. It appends
+// the children to plan and returns it. Segment boundaries depend only on
+// ring arithmetic, never on send outcomes, so the plan can be dispatched
+// concurrently.
+func (n *Node) planSegments(k ring.ID, plan []childPlan) []childPlan {
 	s := n.space
 	x := n.self.ID
 	c := uint64(n.cfg.Capacity)
 	if s.Dist(x, k) == 0 {
-		return nil
+		return plan
 	}
 
 	kk := k
-	plan := make([]childPlan, 0, c)
 	add := func(y ring.ID, key tableKey, viaSucc bool) {
 		if s.Dist(x, kk) == 0 || !s.InOC(y, x, kk) {
 			return
@@ -84,20 +85,57 @@ func (n *Node) planSegments(k ring.ID) []childPlan {
 	return plan
 }
 
-// resolveSlots fills in the table occupant of every planned child under
-// one hold of n.mu, so all children of a fan-out see one consistent view
-// of the table. Only the planned slots are resolved, not the whole table.
-func (n *Node) resolveSlots(plan []childPlan) {
+// resolvePlan resolves every planned child from the node's own state under
+// one hold of n.mu, so all children of a fan-out see one consistent view,
+// and drops the children that view proves empty. It compacts plan in place
+// and returns the children left: those with a resolved target, and those
+// whose y lies beyond the successor and so need a routed lookup. A child
+// resolves to
+//   - its candidate, when that is not suspect and lies inside its segment:
+//     the table slot's occupant, or for the successor child the first
+//     successor-list entry not held suspect (liveSuccessorLocked);
+//   - otherwise, FindSuccessor's answer from the node's own pointers
+//     (ownSuccessor), and it is dropped when that answer lies outside its
+//     segment.
+//
+// A dropped child would have ended in a memo hit or a local FindSuccessor,
+// neither of which makes an RPC, so dropping it leaves the spread's RPC
+// sequence unchanged.
+func (n *Node) resolvePlan(plan []childPlan) []childPlan {
+	s := n.space
+	self := n.self
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for i := range plan {
-		if plan[i].viaSucc {
-			continue
-		}
-		if idx, ok := n.spec.slotIndex(plan[i].key); ok && idx < len(n.slotRefs) {
-			plan[i].slot = n.arena.Resolve(n.slotRefs[idx])
-		}
+	if n.stopped {
+		// A stopped node holds no pointers and answers no lookup from them
+		// (handleFindSucc fails with ErrStopped): every child falls back
+		// to forwardSegment.
+		return plan
 	}
+	pred, hasPred := n.predLocked()
+	succ, hasSucc := n.succHeadLocked()
+	if !hasSucc {
+		succ = self
+	}
+	out := plan[:0]
+	for _, cp := range plan {
+		var cand NodeInfo
+		if cp.viaSucc {
+			cand, _ = n.liveSuccessorLocked()
+		} else if idx, ok := n.spec.slotIndex(cp.key); ok && idx < len(n.slotRefs) {
+			cand = n.arena.Resolve(n.slotRefs[idx])
+		}
+		if !cand.zero() && cand.Addr != self.Addr && s.InOC(cand.ID, self.ID, cp.segEnd) && !n.isSuspect(cand.Addr) {
+			cp.to = cand
+		} else if own, ok := n.ownSuccessor(cp.y, pred, hasPred, succ); ok {
+			if own.Addr == self.Addr || !s.InOC(own.ID, self.ID, cp.segEnd) {
+				continue // no member owns this segment
+			}
+			cp.to = own
+		}
+		out = append(out, cp)
+	}
+	return out
 }
 
 // fanOut runs one task per item concurrently, bounded by ForwardParallel
@@ -164,21 +202,28 @@ func (t poolTask) do() {
 // quiescent process keeps no forward goroutines at all. The pool has no
 // queue: submit either wakes a parked worker, starts one (under the cap),
 // or reports failure and the caller runs the task itself.
-var fwdPool = &taskPool{tasks: make(chan poolTask)}
+var fwdPool = newTaskPool()
 
 const fwdIdleExit = time.Second
 
 type taskPool struct {
 	tasks   chan poolTask // unbuffered: a send finds a parked worker or fails
 	workers atomic.Int32  // live workers, bounded by capacity()
+	limit   int32
 }
 
-func (p *taskPool) capacity() int32 {
-	if c := int32(4 * goruntime.GOMAXPROCS(0)); c > 16 {
-		return c
+// newTaskPool sizes the pool once, at four workers per GOMAXPROCS with a
+// floor of 16: GOMAXPROCS takes the scheduler lock, too dear to read on
+// every submit that finds no parked worker.
+func newTaskPool() *taskPool {
+	limit := int32(4 * goruntime.GOMAXPROCS(0))
+	if limit < 16 {
+		limit = 16
 	}
-	return 16
+	return &taskPool{tasks: make(chan poolTask), limit: limit}
 }
+
+func (p *taskPool) capacity() int32 { return p.limit }
 
 // submit hands t to a warm worker, or starts a fresh one under the cap.
 // It never blocks; false means the pool is saturated and the caller should
@@ -226,15 +271,16 @@ func (p *taskPool) worker(t poolTask) {
 }
 
 // confirmSuccessor is FindSuccessor through the node's per-generation memo,
-// for the pre-send resolution paths: in a quiet group the recurring
-// per-message lookups — confirming a planned segment empty, re-resolving a
-// missing table slot — cost a map hit instead of an RPC chain. The memo
-// holds only while the topology generation is unchanged; any membership
-// write (stabilize, notify, fix, join, leave, suspicion flip) discards it,
-// so a group in motion gets exactly the fresh lookups it got before the
-// memo existed. Failure-path resolution (retry, repair) bypasses the memo
-// on purpose: those callers just learned the topology view is wrong.
-// Only a memo miss counts as a table fault.
+// for a planned child beyond the successor that its table slot could not
+// resolve: in a quiet group the recurring per-message lookups — confirming
+// a planned segment empty, re-resolving a missing table slot — cost a map
+// hit instead of an RPC chain. The memo holds only while the topology
+// generation is unchanged; any membership write (stabilize, notify, fix,
+// join, leave, suspicion flip) discards it, so a group in motion gets
+// exactly the fresh lookups it got before the memo existed. Failure-path
+// resolution (retry, repair) bypasses the memo on purpose: those callers
+// just learned the topology view is wrong. Only a memo miss counts as a
+// table fault.
 func (n *Node) confirmSuccessor(y ring.ID) (NodeInfo, error) {
 	gen := n.topoGen.Load()
 	n.memoMu.Lock()
@@ -351,56 +397,34 @@ func (n *Node) noteLost() {
 	n.countMetric(metrics.CounterForwardLost)
 }
 
-// forwardSegment delivers one planned segment to its child: resolve the
-// child (table slot, first successor not held suspect, or on-demand
-// lookup), send with the per-child deadline, and on failure re-resolve and
-// retry with backoff up to ForwardRetries times. If every attempt fails
-// the segment is handed to repairSegment rather than dropped.
+// forwardSegment delivers one planned segment to its child: the target
+// resolvePlan found, or else the owner of y by a routed lookup through the
+// memo. It sends with the per-child deadline, and on failure re-resolves
+// and retries with backoff up to ForwardRetries times. If every attempt
+// fails the segment is handed to repairSegment rather than dropped.
 func (n *Node) forwardSegment(ctx context.Context, msgID string, source NodeInfo, payload payloadRef, cp childPlan, hops int) {
 	s := n.space
 	x := n.self.ID
 
-	var (
-		child NodeInfo
-		ok    bool
-	)
-	if cp.viaSucc {
-		child, ok = n.liveSuccessor()
-	} else {
-		child, ok = cp.slot, !cp.slot.zero()
-	}
-	resolved := false
-	if !ok || child.zero() || n.isSuspect(child.Addr) {
-		// Table slot empty, or its occupant failed a recent call: resolve
-		// on demand.
+	child := cp.to
+	if child.zero() {
+		// y lies beyond the successor, and the table slot is empty, suspect,
+		// or claims the segment is empty — a slot filled before closer
+		// members joined looks exactly the same. Confirm with a lookup before
+		// silently truncating the tree here.
 		info, err := n.confirmSuccessor(cp.y)
 		if err != nil {
-			// Resolution failed outright; try the repair path before
-			// declaring the whole subtree lost.
+			// The lookup itself failed — the network said no, not the ring.
+			// Engage repair instead of truncating: a truly empty segment
+			// makes it a no-op, a live owner gets the handoff, and an
+			// unreachable one is accounted, never silently dropped.
 			n.repairSegment(ctx, msgID, source, payload, cp, NodeInfo{}, hops)
 			return
 		}
-		child, resolved = info, true
-	}
-	if !resolved && (child.Addr == n.self.Addr || !s.InOC(child.ID, x, cp.segEnd)) {
-		// The table entry says nobody owns this segment, but a slot filled
-		// before closer members joined looks exactly the same. Confirm with
-		// a lookup before silently truncating the tree here.
-		info, err := n.confirmSuccessor(cp.y)
-		if err != nil {
-			// The confirmation itself failed — the network said no, not the
-			// ring. Engage repair instead of truncating: a truly empty
-			// segment makes it a no-op, a live owner gets the handoff, and
-			// an unreachable one is accounted, never silently dropped.
-			n.repairSegment(ctx, msgID, source, payload, cp, NodeInfo{}, hops)
-			return
+		if info.zero() || info.Addr == n.self.Addr || !s.InOC(info.ID, x, cp.segEnd) {
+			return // no live member owns this segment; nothing to deliver
 		}
-		if !info.zero() {
-			child = info
-		}
-	}
-	if child.Addr == n.self.Addr || !s.InOC(child.ID, x, cp.segEnd) {
-		return // no live member owns this segment; nothing to deliver
+		child = info
 	}
 
 	req := multicastReq{MsgID: msgID, Source: source, Payload: payload.bytes, K: cp.segEnd, Hops: hops + 1, blob: payload.blob}

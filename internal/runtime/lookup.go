@@ -79,21 +79,14 @@ func (n *Node) handleFindSucc(req findSuccReq) (any, error) {
 	}
 	self := n.self
 	pred, hasPred := n.predLocked()
-	succ := self
-	if len(n.succRefs) > 0 {
-		succ = n.arena.Resolve(n.succRefs[0])
+	succ, ok := n.succHeadLocked()
+	if !ok {
+		succ = self
 	}
 	n.mu.Unlock()
 
-	k := req.K
-	// Alone, or k is ours: (pred, self] covers it.
-	if succ.Addr == self.Addr || k == self.ID ||
-		(hasPred && pred.Addr != self.Addr && n.space.InOC(k, pred.ID, self.ID)) {
-		return findSuccResp{Node: self, Hops: req.Hops}, nil
-	}
-	// The successor's segment (self, succ] covers it.
-	if n.space.InOC(k, self.ID, succ.ID) {
-		return findSuccResp{Node: succ, Hops: req.Hops}, nil
+	if owner, ok := n.ownSuccessor(req.K, pred, hasPred, succ); ok {
+		return findSuccResp{Node: owner, Hops: req.Hops}, nil
 	}
 
 	// CAM-Koorde routes by de Bruijn digit shifts (Section 4.2): the request
@@ -109,6 +102,23 @@ func (n *Node) handleFindSucc(req findSuccReq) (any, error) {
 	}
 
 	return n.greedyRoute(req, self, 0)
+}
+
+// ownSuccessor is the answer FindSuccessor(k) takes from the node's own
+// pointers, without an RPC: self when alone or when (pred, self] covers k,
+// the successor succ (self when the list is empty) when (self, succ] does.
+// ok is false when k lies beyond the successor and only a routed lookup
+// can answer.
+func (n *Node) ownSuccessor(k ring.ID, pred NodeInfo, hasPred bool, succ NodeInfo) (NodeInfo, bool) {
+	self := n.self
+	if succ.Addr == self.Addr || k == self.ID ||
+		(hasPred && pred.Addr != self.Addr && n.space.InOC(k, pred.ID, self.ID)) {
+		return self, true
+	}
+	if n.space.InOC(k, self.ID, succ.ID) {
+		return succ, true
+	}
+	return NodeInfo{}, false
 }
 
 // digitRoute advances a CAM-Koorde lookup by digit shifts. It initializes

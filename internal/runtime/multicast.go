@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"camcast/internal/obsv"
@@ -112,23 +113,37 @@ func (n *Node) handleMulticast(req multicastReq) (any, error) {
 	return multicastResp{Duplicate: dup}, nil
 }
 
+// planStack is how many planned children spreadSegment holds on its own
+// stack: the largest capacity of the default workload, U[4,10]. A larger
+// capacity's plan spills to the heap.
+const planStack = 10
+
 // spreadSegment delivers the message to every member in (self, k] by
 // splitting the segment across up to c_x children, exactly as the static
 // algorithm in internal/camchord but resolving children through the node's
-// own neighbor table (with on-demand lookups for missing or dead entries).
-// Children are dispatched concurrently — one dead or slow child delays only
-// its own segment — and each send is protected by the retry/repair engine
-// in forward.go.
+// own pointers (with on-demand lookups for children beyond the successor).
+// Children that the node's own pointers prove empty are dropped before the
+// fan-out, so a leaf's spread sends nothing, allocates nothing and is not
+// observed. A lone child is sent inline; two or more are dispatched
+// concurrently — one dead or slow child delays only its own segment — and
+// each send is protected by the retry/repair engine in forward.go.
 func (n *Node) spreadSegment(ctx context.Context, msgID string, source NodeInfo, payload payloadRef, k ring.ID, hops int) {
-	plan := n.planSegments(k)
+	var buf [planStack]childPlan
+	plan := n.resolvePlan(n.planSegments(k, buf[:0]))
 	if len(plan) == 0 {
 		return
 	}
 	start := time.Now()
-	n.resolveSlots(plan)
-	n.fanOut(len(plan), func(i int) {
-		n.forwardSegment(ctx, msgID, source, payload, plan[i], hops)
-	})
+	if len(plan) == 1 {
+		n.forwardSegment(ctx, msgID, source, payload, plan[0], hops)
+	} else {
+		// The fan-out's tasks may run on pool workers, so the children they
+		// read move to the heap; buf stays on this stack.
+		children := slices.Clone(plan)
+		n.fanOut(len(children), func(i int) {
+			n.forwardSegment(ctx, msgID, source, payload, children[i], hops)
+		})
+	}
 	n.obs.spreadTime.ObserveDuration(time.Since(start))
 }
 

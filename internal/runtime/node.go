@@ -248,11 +248,15 @@ func (c *Config) validate() error {
 
 // Stats are cumulative per-node protocol counters.
 type Stats struct {
-	Delivered   uint64 // multicast messages delivered to the application
-	Forwarded   uint64 // multicast copies sent to children (incl. repairs)
-	Duplicates  uint64 // duplicate deliveries / offers suppressed
-	Lookups     uint64 // find_successor requests served
-	TableFaults uint64 // child resolutions that needed an on-demand lookup
+	Delivered  uint64 // multicast messages delivered to the application
+	Forwarded  uint64 // multicast copies sent to children (incl. repairs)
+	Duplicates uint64 // duplicate deliveries / offers suppressed
+	// Lookups counts find_successor requests served, the node's own
+	// included; TableFaults counts child resolutions that needed an
+	// on-demand lookup. A spread child that the node's own pointers
+	// resolve (DESIGN.md §6) counts in neither.
+	Lookups     uint64
+	TableFaults uint64
 
 	// Forwarding-outcome accounting (see DESIGN.md "Delivery guarantees
 	// and failure semantics").
@@ -1106,6 +1110,11 @@ func (n *Node) liveSuccessor() (NodeInfo, bool) {
 	if n.stopped {
 		return NodeInfo{}, false
 	}
+	return n.liveSuccessorLocked()
+}
+
+// liveSuccessorLocked is liveSuccessor on a running node, with n.mu held.
+func (n *Node) liveSuccessorLocked() (NodeInfo, bool) {
 	if len(n.succRefs) == 0 {
 		return n.self, true
 	}

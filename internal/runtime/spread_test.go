@@ -1,0 +1,285 @@
+package runtime
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"sync"
+	"testing"
+
+	"camcast/internal/obsv"
+	"camcast/internal/ring"
+	"camcast/internal/transport"
+)
+
+// loggedCall is one RPC a node issued.
+type loggedCall struct{ from, to, kind string }
+
+// callLog is a node transport that records every call it carries.
+type callLog struct {
+	Transport
+	mu    sync.Mutex
+	calls []loggedCall
+}
+
+func (l *callLog) Call(ctx context.Context, from, to, kind string, payload any) (any, error) {
+	resp, err := l.Transport.Call(ctx, from, to, kind, payload)
+	l.mu.Lock()
+	l.calls = append(l.calls, loggedCall{from: from, to: to, kind: kind})
+	l.mu.Unlock()
+	return resp, err
+}
+
+// take returns the calls recorded since the last take.
+func (l *callLog) take() []loggedCall {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.calls
+	l.calls = nil
+	return out
+}
+
+// exactRing is a bulk-installed CAM-Chord ring whose routing state is the
+// exact fixed point, with every call logged and every delivery counted.
+type exactRing struct {
+	log    *callLog
+	reg    *obsv.Registry
+	nodes  []*Node // in ring-identifier order
+	space  ring.Space
+	mu     sync.Mutex
+	copies map[string]int // addr + " " + msgID -> deliveries
+}
+
+// newExactRing builds size members with the seeded mixed capacities of
+// equivMembers; forwardParallel is Config.ForwardParallel.
+func newExactRing(t *testing.T, size int, forwardParallel int) *exactRing {
+	t.Helper()
+	space := ring.MustSpace(32)
+	r := &exactRing{
+		log:    &callLog{Transport: transport.NewNetwork(1)},
+		reg:    obsv.NewRegistry(),
+		space:  space,
+		copies: make(map[string]int),
+	}
+	for _, m := range equivMembers(space, ModeCAMChord, size, 7) {
+		addr := m.addr
+		n, err := NewNode(r.log, addr, Config{
+			Space: space, Mode: ModeCAMChord, Capacity: m.cap,
+			ForwardParallel: forwardParallel, Metrics: r.reg,
+			OnDeliver: func(d Delivery) {
+				r.mu.Lock()
+				r.copies[addr+" "+d.MsgID]++
+				r.mu.Unlock()
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.nodes = append(r.nodes, n)
+	}
+	t.Cleanup(func() {
+		for _, n := range r.nodes {
+			n.Stop()
+		}
+	})
+	if err := BulkInstall(r.nodes, BulkOptions{Parallelism: 1}); err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(r.nodes, func(i, j int) bool { return r.nodes[i].Self().ID < r.nodes[j].Self().ID })
+	return r
+}
+
+// at returns the member i places after nodes[x] on the ring.
+func (r *exactRing) at(x, i int) *Node { return r.nodes[(x+i)%len(r.nodes)] }
+
+func (r *exactRing) deliveries(n *Node, msgID string) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.copies[n.Self().Addr+" "+msgID]
+}
+
+// checkExactlyOnce asserts every live member received msgID once.
+func (r *exactRing) checkExactlyOnce(t *testing.T, msgID string) {
+	t.Helper()
+	for _, n := range r.nodes {
+		if n.Stopped() {
+			continue
+		}
+		if got := r.deliveries(n, msgID); got != 1 {
+			t.Errorf("%s received %s %d times, want exactly once", n.Self().Addr, msgID, got)
+		}
+	}
+}
+
+// spreadCount is how many segment spreads the ring has observed.
+func (r *exactRing) spreadCount() uint64 {
+	return r.reg.Snapshot().Histograms[obsv.MetricSegmentSpread].Count
+}
+
+// forEachFanOut runs f under the default parallel fan-out and under the
+// serialized one (ForwardParallel < 0) that deterministic replay uses.
+func forEachFanOut(t *testing.T, f func(t *testing.T, forwardParallel int)) {
+	for _, tc := range []struct {
+		name string
+		fp   int
+	}{{"parallel", 0}, {"serialized", -1}} {
+		t.Run(tc.name, func(t *testing.T) { f(t, tc.fp) })
+	}
+}
+
+// TestSpreadSlotBeatsStaleSuccessor: a table slot naming a live member
+// closer than the node's stale successor pointer still receives its
+// segment. The node's own pointers alone would prove the segment empty, so
+// the slot must be consulted before them.
+func TestSpreadSlotBeatsStaleSuccessor(t *testing.T) {
+	forEachFanOut(t, func(t *testing.T, fp int) {
+		r := newExactRing(t, 16, fp)
+		x, m := r.at(0, 0), r.at(0, 1)
+
+		// Forget m in x's successor list, as if m joined after x last
+		// stabilized; x's table slots still name m.
+		x.mu.Lock()
+		stale := make([]NodeInfo, 0, len(x.succRefs))
+		for _, ref := range x.succRefs[1:] {
+			stale = append(stale, x.arena.Resolve(ref))
+		}
+		x.setSuccsLocked(stale)
+		x.mu.Unlock()
+
+		// The segment (x, m] holds m alone. Its first child must be a table
+		// slot naming m, or the test proves nothing.
+		plan := x.planSegments(m.Self().ID, nil)
+		if len(plan) == 0 || plan[0].viaSucc {
+			t.Fatalf("plan for (x, m] = %+v, want a table child first", plan)
+		}
+		x.mu.Lock()
+		idx, _ := x.spec.slotIndex(plan[0].key)
+		slot := x.arena.Resolve(x.slotRefs[idx])
+		x.mu.Unlock()
+		if slot.Addr != m.Self().Addr {
+			t.Fatalf("slot %+v holds %s, want %s", plan[0].key, slot.Addr, m.Self().Addr)
+		}
+		if own, _, err := x.FindSuccessor(plan[0].y); err != nil || own.Addr == m.Self().Addr {
+			t.Fatalf("x's own pointers answer %s (err %v), want them to skip %s", own.Addr, err, m.Self().Addr)
+		}
+
+		msgID := "stale#1"
+		req := multicastReq{MsgID: msgID, Source: x.Self(), Payload: []byte("p"), K: m.Self().ID}
+		if _, err := x.handleMulticast(req); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range r.nodes {
+			want := 0
+			if n == x || n == m {
+				want = 1
+			}
+			if got := r.deliveries(n, msgID); got != want {
+				t.Errorf("%s received %d copies, want %d", n.Self().Addr, got, want)
+			}
+		}
+	})
+}
+
+// TestSpreadSuccessorChildSkipsSuspect: with the successor-list head held
+// suspect, the successor child goes straight to the next live entry. With
+// the dead head not yet suspect, the send fails, the retry re-resolves and
+// reaches the same entry: retry and repair run as they always did.
+func TestSpreadSuccessorChildSkipsSuspect(t *testing.T) {
+	for _, suspect := range []bool{true, false} {
+		t.Run(fmt.Sprintf("suspect=%v", suspect), func(t *testing.T) {
+			forEachFanOut(t, func(t *testing.T, fp int) {
+				r := newExactRing(t, 16, fp)
+				// Pick a source whose successor child's segment covers
+				// its second successor, so that entry can inherit it.
+				xi := -1
+				for i, n := range r.nodes {
+					plan := n.planSegments(r.space.Sub(n.Self().ID, 1), nil)
+					last := plan[len(plan)-1]
+					if last.viaSucc && r.space.InOC(r.at(i, 2).Self().ID, n.Self().ID, last.segEnd) {
+						xi = i
+						break
+					}
+				}
+				if xi < 0 {
+					t.Fatal("no member's successor segment covers its second successor")
+				}
+				x, dead, next := r.at(xi, 0), r.at(xi, 1), r.at(xi, 2)
+				dead.Stop()
+				if suspect {
+					x.markSuspect(dead.Self().Addr)
+				}
+
+				msgID, err := x.Multicast([]byte("p"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.checkExactlyOnce(t, msgID)
+				var got []string
+				for _, c := range r.log.take() {
+					if c.from == x.Self().Addr && c.kind == kindMulticast && (c.to == dead.Self().Addr || c.to == next.Self().Addr) {
+						got = append(got, c.to)
+					}
+				}
+				want := []string{next.Self().Addr}
+				if !suspect {
+					want = []string{dead.Self().Addr, next.Self().Addr}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("x's multicast sends to its successors = %v, want %v", got, want)
+				}
+				st := x.Stats()
+				if wantRetries := uint64(len(want) - 1); st.Retries != wantRetries || st.SegmentsRepaired != 0 || st.SegmentsLost != 0 {
+					t.Errorf("x stats %+v, want %d retries, no repair, no loss", st, wantRetries)
+				}
+			})
+		})
+	}
+}
+
+// TestSpreadExactCalls: on a converged ring, once the first message has
+// warmed the lookup memo, each clean multicast makes exactly members-1
+// multicast RPCs and no find_successor RPC, and only members that send
+// observe a segment spread: a leaf's spread costs nothing.
+func TestSpreadExactCalls(t *testing.T) {
+	sizes := []int{16, 64, 256}
+	if testing.Short() {
+		sizes = sizes[:2]
+	}
+	forEachFanOut(t, func(t *testing.T, fp int) {
+		for _, size := range sizes {
+			r := newExactRing(t, size, fp)
+			src := r.nodes[size/3]
+			if _, err := src.Multicast([]byte("warm-up")); err != nil {
+				t.Fatal(err)
+			}
+			r.log.take()
+			for i := 0; i < 3; i++ {
+				spreads := r.spreadCount()
+				msgID, err := src.Multicast([]byte{byte(i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.checkExactlyOnce(t, msgID)
+				mcasts, lookups := 0, 0
+				parents := make(map[string]bool)
+				for _, c := range r.log.take() {
+					switch c.kind {
+					case kindMulticast:
+						mcasts++
+						parents[c.from] = true
+					case kindFindSucc:
+						lookups++
+					}
+				}
+				if mcasts != size-1 || lookups != 0 {
+					t.Errorf("%d members, message %d: %d multicast and %d find_successor RPCs, want %d and 0",
+						size, i, mcasts, lookups, size-1)
+				}
+				if got := r.spreadCount() - spreads; got != uint64(len(parents)) {
+					t.Errorf("%d members, message %d: %d segment spreads observed, want one per forwarding parent (%d)",
+						size, i, got, len(parents))
+				}
+			}
+		}
+	})
+}
