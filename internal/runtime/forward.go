@@ -138,39 +138,39 @@ func (n *Node) resolvePlan(plan []childPlan) []childPlan {
 	return out
 }
 
-// fanOut runs one task per item concurrently, bounded by ForwardParallel
-// in flight at once (ForwardParallel-1 pool lanes plus the caller's own
-// goroutine), and waits for all of them. With ForwardParallel == 1
-// (Config.ForwardParallel < 0) the tasks run inline in plan order on the
-// caller's goroutine: a pool of one would serialize them too, but in
-// scheduler order rather than plan order, and the deterministic replay
-// engine (internal/replay) depends on a serialized node behaving
+// fanOut runs r.run(i) for every i in [0, count) concurrently, bounded by
+// ForwardParallel in flight at once (ForwardParallel-1 pool lanes plus the
+// caller's own goroutine), and waits for all of them on wg. With
+// ForwardParallel == 1 (Config.ForwardParallel < 0) the items run inline in
+// plan order on the caller's goroutine: a pool of one would serialize them
+// too, but in scheduler order rather than plan order, and the deterministic
+// replay engine (internal/replay) depends on a serialized node behaving
 // identically from run to run.
 //
-// The parallel path hands tasks to a process-wide pool of warm workers
+// The parallel path hands items to a process-wide pool of warm workers
 // rather than spawning a goroutine per child: a child send's call chain
 // (forward -> flow -> mux -> frame writer -> socket) outgrows a fresh
 // goroutine's initial stack, and the per-spawn stack copies were the
 // dominant cost of high-fan-out dissemination over TCP. Handoff is
-// non-blocking — with no lane free the caller runs the task itself — so a
+// non-blocking — with no lane free the caller runs the item itself — so a
 // nested fan-out (a member of the same process forwarding onward) degrades
 // to inline execution instead of deadlocking the shared pool. A handoff is
-// a poolTask value, not a closure, so it allocates nothing per child.
-func (n *Node) fanOut(count int, task func(i int)) {
+// a poolTask value carrying r, the fan-out's pooled state (spreadFan,
+// floodFan), and wg lives in that state, so a fan-out allocates nothing.
+func (n *Node) fanOut(count int, r runner, wg *sync.WaitGroup) {
 	if count == 1 {
-		task(0)
+		r.run(0)
 		return
 	}
 	if n.cfg.ForwardParallel <= 1 {
 		for i := 0; i < count; i++ {
-			task(i)
+			r.run(i)
 		}
 		return
 	}
-	var wg sync.WaitGroup
 	pooled := 0
 	for i := 1; i < count; i++ {
-		pt := poolTask{run: task, i: i, wg: &wg}
+		pt := poolTask{r: r, i: i, wg: wg}
 		wg.Add(1)
 		if pooled < n.cfg.ForwardParallel-1 && fwdPool.submit(pt) {
 			pooled++
@@ -178,21 +178,98 @@ func (n *Node) fanOut(count int, task func(i int)) {
 			pt.do()
 		}
 	}
-	task(0)
+	r.run(0)
 	wg.Wait()
 }
 
-// poolTask is one fan-out item handed to a pool worker: run(i), then
+// runner is one fan-out's work: run(i) serves item i.
+type runner interface{ run(i int) }
+
+// poolTask is one fan-out item handed to a pool worker: r.run(i), then
 // wg.Done().
 type poolTask struct {
-	run func(int)
-	i   int
-	wg  *sync.WaitGroup
+	r  runner
+	i  int
+	wg *sync.WaitGroup
 }
 
 func (t poolTask) do() {
 	defer t.wg.Done()
-	t.run(t.i)
+	t.r.run(t.i)
+}
+
+// fanArgs are the arguments every child send of one fan-out shares.
+type fanArgs struct {
+	n       *Node
+	ctx     context.Context
+	msgID   string
+	source  NodeInfo
+	payload payloadRef
+	hops    int
+}
+
+// spreadFan is a CAM-Chord spread's fan-out state for two or more
+// children, borrowed from spreadFanPool for the spread's duration: the
+// fan-out's tasks may run on pool workers, so the children they read
+// cannot stay on the spreading goroutine's stack, and a pooled copy costs
+// no allocation.
+type spreadFan struct {
+	fanArgs
+	children []childPlan
+	wg       sync.WaitGroup
+}
+
+var spreadFanPool = sync.Pool{New: func() any { return new(spreadFan) }}
+
+func (s *spreadFan) run(i int) {
+	s.n.forwardSegment(s.ctx, s.msgID, s.source, s.payload, s.children[i], s.hops)
+}
+
+// release returns s to its pool holding no reference into the spread.
+func (s *spreadFan) release() {
+	clear(s.children)
+	s.fanArgs, s.children = fanArgs{}, s.children[:0]
+	spreadFanPool.Put(s)
+}
+
+// floodFan is one CAM-Koorde flood's fan-out state, borrowed from
+// floodFanPool for the flood's duration: the neighbour buffer, one outcome
+// per neighbour, the boxed offer every neighbour shares, and from, the
+// member that sent this one the payload (empty at the origin).
+type floodFan struct {
+	fanArgs
+	offer     any
+	from      string
+	neighbors []NodeInfo
+	outcomes  []floodOutcome
+	wg        sync.WaitGroup
+}
+
+// floodOutcome is one neighbour's result: whether it needs repair
+// (unreachable, or reachable but the payload could not be delivered) and
+// whether it is a usable reflood relay.
+type floodOutcome struct{ needRepair, relay bool }
+
+var floodFanPool = sync.Pool{New: func() any { return new(floodFan) }}
+
+// run serves neighbour i. The sender keeps its slot, so the others keep
+// their order, but it is not offered the message: it has just sent the
+// payload here, so it would refuse, and it is a usable relay.
+func (f *floodFan) run(i int) {
+	nb, o := f.neighbors[i], &f.outcomes[i]
+	if nb.Addr == f.from {
+		o.needRepair, o.relay = false, true
+		return
+	}
+	o.needRepair, o.relay = f.n.floodOne(f.ctx, f.msgID, f.offer, f.source, f.payload, nb, f.hops)
+}
+
+// release returns f to its pool holding no reference into the flood.
+func (f *floodFan) release() {
+	clear(f.neighbors)
+	f.fanArgs, f.offer, f.from = fanArgs{}, nil, ""
+	f.neighbors, f.outcomes = f.neighbors[:0], f.outcomes[:0]
+	floodFanPool.Put(f)
 }
 
 // fwdPool is the process-wide forward-worker pool. It is shared by every
@@ -246,26 +323,28 @@ func (p *taskPool) submit(t poolTask) bool {
 	}
 }
 
-// worker runs its seed task, then parks on the task channel until the idle
-// grace expires. The first deep call chain grows this goroutine's stack
-// once; every task it picks up afterwards reuses the grown stack.
+// worker runs its seed task, then parks on the task channel. It exits once
+// a whole fwdIdleExit period passes in which it ran nothing, so an idle
+// worker lives 1-2x fwdIdleExit and a busy one never re-arms its timer per
+// task. The first deep call chain grows this goroutine's stack once; every
+// task it picks up afterwards reuses the grown stack.
 func (p *taskPool) worker(t poolTask) {
+	t.do()
 	idle := time.NewTimer(fwdIdleExit)
 	defer idle.Stop()
+	ran := false
 	for {
-		t.do()
-		if !idle.Stop() {
-			select {
-			case <-idle.C:
-			default:
-			}
-		}
-		idle.Reset(fwdIdleExit)
 		select {
 		case t = <-p.tasks:
+			t.do()
+			ran = true
 		case <-idle.C:
-			p.workers.Add(-1)
-			return
+			if !ran {
+				p.workers.Add(-1)
+				return
+			}
+			ran = false
+			idle.Reset(fwdIdleExit)
 		}
 	}
 }
@@ -311,7 +390,24 @@ func (n *Node) confirmSuccessor(y ring.ID) (NodeInfo, error) {
 // sendTimed issues one child send under the per-child deadline, within the
 // caller's context.
 func (n *Node) sendTimed(ctx context.Context, to, kind string, payload any) (any, error) {
-	return n.callCtx(withDeadline(ctx, n.cfg.ForwardTimeout), to, kind, payload)
+	return n.callWithin(ctx, n.cfg.ForwardTimeout, to, kind, payload)
+}
+
+// callWithin issues one RPC under ctx bounded at d from now; d <= 0 leaves
+// it unbounded. The bound is a deadlineCtx borrowed from deadlinePool for
+// the call's duration: Transport.Call must not retain ctx after it
+// returns, so the context goes back to the pool then, and an RPC allocates
+// no context.
+func (n *Node) callWithin(ctx context.Context, d time.Duration, to, kind string, payload any) (any, error) {
+	if d <= 0 {
+		return n.callCtx(ctx, to, kind, payload)
+	}
+	dc := deadlinePool.Get().(*deadlineCtx)
+	dc.Context, dc.at = ctx, time.Now().Add(d)
+	resp, err := n.callCtx(dc, to, kind, payload)
+	*dc = deadlineCtx{}
+	deadlinePool.Put(dc)
+	return resp, err
 }
 
 // deadlineCtx is ctx bounded at a fixed instant without a timer: Deadline
@@ -319,20 +415,14 @@ func (n *Node) sendTimed(ctx context.Context, to, kind string, payload any) (any
 // context.DeadlineExceeded once at has passed, but Done is the parent's and
 // does not close at at. The transport enforces the deadline by reading
 // Deadline (the TCP deadline sweeper, the mem transport's clipped delay),
-// so a child send costs one small allocation instead of the timer,
-// cancel closure and context that context.WithTimeout builds per call.
+// so an RPC costs neither the timer, cancel closure and context that
+// context.WithTimeout builds per call nor, pooled, any allocation.
 type deadlineCtx struct {
 	context.Context
 	at time.Time
 }
 
-// withDeadline bounds ctx at d from now; d <= 0 leaves it unbounded.
-func withDeadline(ctx context.Context, d time.Duration) context.Context {
-	if d <= 0 {
-		return ctx
-	}
-	return &deadlineCtx{Context: ctx, at: time.Now().Add(d)}
-}
+var deadlinePool = sync.Pool{New: func() any { return new(deadlineCtx) }}
 
 func (c *deadlineCtx) Deadline() (time.Time, bool) {
 	if d, ok := c.Context.Deadline(); ok && d.Before(c.at) {

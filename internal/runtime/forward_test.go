@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,7 +11,7 @@ import (
 // all, so the process-wide pool runs out of workers and submissions fall
 // back to running inline on the submitting goroutine. Every task index must
 // run exactly once, fanOut must return, and the pool's workers must exit
-// once idle for fwdIdleExit.
+// once a whole fwdIdleExit period passes in which they ran nothing.
 func TestForwardPoolSaturation(t *testing.T) {
 	const width = 8
 	n := &Node{cfg: Config{ForwardParallel: 64}}
@@ -32,12 +33,16 @@ func TestForwardPoolSaturation(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 		runs[i].Add(1)
 	}
+	fan := func(task func(int)) {
+		var wg sync.WaitGroup
+		n.fanOut(width, runFunc(task), &wg)
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		n.fanOut(width, func(a int) {
-			n.fanOut(width, func(b int) {
-				n.fanOut(width, func(c int) { leaf((a*width+b)*width + c) })
+		fan(func(a int) {
+			fan(func(b int) {
+				fan(func(c int) { leaf((a*width+b)*width + c) })
 			})
 		})
 	}()
@@ -63,3 +68,8 @@ func TestForwardPoolSaturation(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// runFunc adapts a function to the fan-out's runner.
+type runFunc func(i int)
+
+func (f runFunc) run(i int) { f(i) }

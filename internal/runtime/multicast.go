@@ -65,7 +65,7 @@ func (n *Node) MulticastContext(ctx context.Context, payload []byte) (string, er
 	case ModeCAMChord:
 		n.spreadSegment(ctx, msgID, n.self, p, n.space.Sub(n.self.ID, 1), 0)
 	case ModeCAMKoorde:
-		n.floodNeighbors(ctx, msgID, n.self, p, 0)
+		n.floodNeighbors(ctx, msgID, n.self, p, 0, "")
 	}
 	n.obs.treeTime.ObserveDuration(time.Since(start))
 	return msgID, nil
@@ -138,55 +138,60 @@ func (n *Node) spreadSegment(ctx context.Context, msgID string, source NodeInfo,
 		n.forwardSegment(ctx, msgID, source, payload, plan[0], hops)
 	} else {
 		// The fan-out's tasks may run on pool workers, so the children they
-		// read move to the heap; buf stays on this stack.
-		children := slices.Clone(plan)
-		n.fanOut(len(children), func(i int) {
-			n.forwardSegment(ctx, msgID, source, payload, children[i], hops)
-		})
+		// read move to pooled state; buf stays on this stack.
+		f := spreadFanPool.Get().(*spreadFan)
+		f.fanArgs = fanArgs{n: n, ctx: ctx, msgID: msgID, source: source, payload: payload, hops: hops}
+		f.children = append(f.children, plan...)
+		n.fanOut(len(f.children), f, &f.wg)
+		f.release()
 	}
 	n.obs.spreadTime.ObserveDuration(time.Since(start))
 }
 
-func (n *Node) handleFlood(req floodReq) (any, error) {
+// handleFlood serves a flood from the neighbour from: deliver, then flood
+// onward, offering to every neighbour but from.
+func (n *Node) handleFlood(from string, req floodReq) (any, error) {
 	if n.seen.Record(req.MsgID) {
 		n.noteDuplicate(req.MsgID)
 		return floodResp{Duplicate: true}, nil
 	}
 	n.deliver(Delivery{MsgID: req.MsgID, Source: req.Source, Payload: req.Payload, Hops: req.Hops})
-	n.floodNeighbors(context.Background(), req.MsgID, req.Source, payloadRef{req.Payload, req.blob}, req.Hops)
+	n.floodNeighbors(context.Background(), req.MsgID, req.Source, payloadRef{req.Payload, req.blob}, req.Hops, from)
 	return floodResp{}, nil
 }
 
-// handleReflood serves a repair re-offer: deliver if the message is new
-// here, then flood to our own neighbors regardless, so offers reach members
-// around a dead neighbor. Already-delivered neighbors decline the offers,
-// which bounds the extra traffic to one offer round per relay.
-func (n *Node) handleReflood(req floodReq) (any, error) {
+// handleReflood serves a repair re-offer from the neighbour from: deliver
+// if the message is new here, then flood to our own neighbors regardless,
+// so offers reach members around a dead neighbor. Already-delivered
+// neighbors decline the offers, which bounds the extra traffic to one offer
+// round per relay.
+func (n *Node) handleReflood(from string, req floodReq) (any, error) {
 	if !n.seen.Record(req.MsgID) {
 		n.deliver(Delivery{MsgID: req.MsgID, Source: req.Source, Payload: req.Payload, Hops: req.Hops})
 	}
-	n.floodNeighbors(context.Background(), req.MsgID, req.Source, payloadRef{req.Payload, req.blob}, req.Hops)
+	n.floodNeighbors(context.Background(), req.MsgID, req.Source, payloadRef{req.Payload, req.blob}, req.Hops, from)
 	return floodResp{}, nil
 }
 
 // floodNeighbors implements CAM-Koorde's MULTICAST (Section 4.3): offer the
 // message to every neighbor over the bidirectional links and send the
-// payload only to those that have not received it. Neighbors are contacted
-// concurrently under the fan-out limit; unreachable or undeliverable
-// neighbors trigger a reflood repair through the surviving mesh.
-func (n *Node) floodNeighbors(ctx context.Context, msgID string, source NodeInfo, payload payloadRef, hops int) {
-	neighbors := n.koordeNeighbors()
-	if len(neighbors) == 0 {
+// payload only to those that have not received it. from, the neighbour
+// that sent this member the payload (empty at the origin), is not offered
+// it. Neighbors are contacted concurrently under the fan-out limit;
+// unreachable or undeliverable neighbors trigger a reflood repair through
+// the surviving mesh.
+func (n *Node) floodNeighbors(ctx context.Context, msgID string, source NodeInfo, payload payloadRef, hops int, from string) {
+	f := floodFanPool.Get().(*floodFan)
+	defer f.release()
+	f.neighbors = n.appendKoordeNeighbors(f.neighbors)
+	if len(f.neighbors) == 0 {
 		return
 	}
 	start := time.Now()
-	type outcome struct{ needRepair, relay bool }
-	outcomes := make([]outcome, len(neighbors))
-	var offer any = offerReq{MsgID: msgID}
-	n.fanOut(len(neighbors), func(i int) {
-		o := &outcomes[i]
-		o.needRepair, o.relay = n.floodOne(ctx, msgID, offer, source, payload, neighbors[i], hops)
-	})
+	f.fanArgs = fanArgs{n: n, ctx: ctx, msgID: msgID, source: source, payload: payload, hops: hops}
+	f.offer, f.from = offerReq{MsgID: msgID}, from
+	f.outcomes = slices.Grow(f.outcomes, len(f.neighbors))[:len(f.neighbors)]
+	n.fanOut(len(f.neighbors), f, &f.wg)
 	n.obs.spreadTime.ObserveDuration(time.Since(start))
 	if ctx.Err() != nil {
 		return // caller gave up; don't account abandoned sends as losses
@@ -198,11 +203,11 @@ func (n *Node) floodNeighbors(ctx context.Context, msgID string, source NodeInfo
 	// was lost to a live member) — while one whose messages were merely
 	// lost is still believed alive and is accounted as repaired or lost.
 	failedLive, failedDead := 0, 0
-	for i, o := range outcomes {
+	for i, o := range f.outcomes {
 		if !o.needRepair {
 			continue
 		}
-		if n.isSuspect(neighbors[i].Addr) {
+		if n.isSuspect(f.neighbors[i].Addr) {
 			failedDead++
 		} else {
 			failedLive++
@@ -212,32 +217,32 @@ func (n *Node) floodNeighbors(ctx context.Context, msgID string, source NodeInfo
 		return
 	}
 	var relays []NodeInfo
-	for i, o := range outcomes {
+	for i, o := range f.outcomes {
 		if o.relay {
-			relays = append(relays, neighbors[i])
+			relays = append(relays, f.neighbors[i])
 		}
 	}
 	n.refloodRepair(ctx, msgID, source, payload, hops, failedLive, relays)
 }
 
-// koordeNeighbors snapshots the node's current CAM-Koorde neighbor set:
-// predecessor, successor, and every resolved table slot, deduplicated.
-// Slots are visited in index order, which targetsFor guarantees is
-// ascending (level, seq) order, so the same routing state always yields
-// the same neighbor sequence — flood order is part of what the
-// deterministic replay engine asserts on.
-func (n *Node) koordeNeighbors() []NodeInfo {
+// appendKoordeNeighbors appends the node's current CAM-Koorde neighbor set
+// to out: predecessor, successor, and every resolved table slot,
+// deduplicated. Slots are visited in index order, which targetsFor
+// guarantees is ascending (level, seq) order, so the same routing state
+// always yields the same neighbor sequence — flood order is part of what
+// the deterministic replay engine asserts on.
+func (n *Node) appendKoordeNeighbors(out []NodeInfo) []NodeInfo {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]NodeInfo, 0, len(n.slotRefs)+2)
-	// A linear scan of out dedups: it holds at most the table's slots plus
-	// predecessor and successor (about c_x), and a map per flood cost more
-	// than the scan.
+	base := len(out)
+	// A linear scan of the appended entries dedups: they are at most the
+	// table's slots plus predecessor and successor (about c_x), and a map
+	// per flood cost more than the scan.
 	add := func(info NodeInfo) {
 		if info.zero() || info.Addr == n.self.Addr {
 			return
 		}
-		for _, o := range out {
+		for _, o := range out[base:] {
 			if o.Addr == info.Addr {
 				return
 			}

@@ -71,6 +71,7 @@ type Transport interface {
 	// read ctx.Deadline() and enforce it itself: the node bounds each RPC
 	// with a deadline that no timer backs, so Done() does not close when
 	// it passes (Done() closes only on the caller's own cancellation).
+	// Call must not retain ctx after it returns.
 	Call(ctx context.Context, from, to, kind string, payload any) (any, error)
 	// Register attaches the handler serving addr.
 	Register(addr string, h transport.Handler)
@@ -248,9 +249,12 @@ func (c *Config) validate() error {
 
 // Stats are cumulative per-node protocol counters.
 type Stats struct {
-	Delivered  uint64 // multicast messages delivered to the application
-	Forwarded  uint64 // multicast copies sent to children (incl. repairs)
-	Duplicates uint64 // duplicate deliveries / offers suppressed
+	Delivered uint64 // multicast messages delivered to the application
+	Forwarded uint64 // multicast copies sent to children (incl. repairs)
+	// Duplicates counts suppressed duplicate deliveries and refused
+	// CAM-Koorde offers. A flood offers nothing back to the neighbour
+	// that sent it the payload, so that neighbour is not counted.
+	Duplicates uint64
 	// Lookups counts find_successor requests served, the node's own
 	// included; TableFaults counts child resolutions that needed an
 	// on-demand lookup. A spread child that the node's own pointers
@@ -725,9 +729,9 @@ func (n *Node) loop(every time.Duration, tick func()) {
 }
 
 // call issues one RPC from this node, bounded by Config.CallTimeout when
-// set. Multicast child sends use callCtx with the tighter ForwardTimeout.
+// set. Multicast child sends use sendTimed with the tighter ForwardTimeout.
 func (n *Node) call(to, kind string, payload any) (any, error) {
-	return n.callCtx(withDeadline(context.Background(), n.cfg.CallTimeout), to, kind, payload)
+	return n.callWithin(context.Background(), n.cfg.CallTimeout, to, kind, payload)
 }
 
 // callCtx issues one RPC under the caller's context and feeds its outcome
@@ -897,13 +901,13 @@ func (n *Node) handleRPC(from, kind string, payload any) (any, error) {
 		if !ok {
 			return nil, fmt.Errorf("runtime: bad payload for %s", kind)
 		}
-		return n.handleFlood(req)
+		return n.handleFlood(from, req)
 	case kindReflood:
 		req, ok := payload.(floodReq)
 		if !ok {
 			return nil, fmt.Errorf("runtime: bad payload for %s", kind)
 		}
-		return n.handleReflood(req)
+		return n.handleReflood(from, req)
 	case kindApp:
 		req, ok := payload.(appReq)
 		if !ok {
@@ -1156,7 +1160,7 @@ func (n *Node) RequestContext(ctx context.Context, addr string, payload []byte) 
 		return nil, ErrStopped
 	}
 	n.mu.Unlock()
-	resp, err := n.callCtx(withDeadline(ctx, n.cfg.CallTimeout), addr, kindApp, appReq{Payload: payload})
+	resp, err := n.callWithin(ctx, n.cfg.CallTimeout, addr, kindApp, appReq{Payload: payload})
 	if err != nil {
 		return nil, err
 	}

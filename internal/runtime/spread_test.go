@@ -12,8 +12,12 @@ import (
 	"camcast/internal/transport"
 )
 
-// loggedCall is one RPC a node issued.
-type loggedCall struct{ from, to, kind string }
+// loggedCall is one RPC a node issued; dup records a flood the receiver
+// answered as a duplicate.
+type loggedCall struct {
+	from, to, kind string
+	dup            bool
+}
 
 // callLog is a node transport that records every call it carries.
 type callLog struct {
@@ -24,8 +28,9 @@ type callLog struct {
 
 func (l *callLog) Call(ctx context.Context, from, to, kind string, payload any) (any, error) {
 	resp, err := l.Transport.Call(ctx, from, to, kind, payload)
+	fr, _ := resp.(floodResp)
 	l.mu.Lock()
-	l.calls = append(l.calls, loggedCall{from: from, to: to, kind: kind})
+	l.calls = append(l.calls, loggedCall{from: from, to: to, kind: kind, dup: fr.Duplicate})
 	l.mu.Unlock()
 	return resp, err
 }
@@ -39,8 +44,8 @@ func (l *callLog) take() []loggedCall {
 	return out
 }
 
-// exactRing is a bulk-installed CAM-Chord ring whose routing state is the
-// exact fixed point, with every call logged and every delivery counted.
+// exactRing is a bulk-installed ring whose routing state is the exact
+// fixed point, with every call logged and every delivery counted.
 type exactRing struct {
 	log    *callLog
 	reg    *obsv.Registry
@@ -50,9 +55,9 @@ type exactRing struct {
 	copies map[string]int // addr + " " + msgID -> deliveries
 }
 
-// newExactRing builds size members with the seeded mixed capacities of
-// equivMembers; forwardParallel is Config.ForwardParallel.
-func newExactRing(t *testing.T, size int, forwardParallel int) *exactRing {
+// newExactRing builds size members of mode with the seeded mixed
+// capacities of equivMembers; forwardParallel is Config.ForwardParallel.
+func newExactRing(t *testing.T, mode Mode, size int, forwardParallel int) *exactRing {
 	t.Helper()
 	space := ring.MustSpace(32)
 	r := &exactRing{
@@ -61,10 +66,10 @@ func newExactRing(t *testing.T, size int, forwardParallel int) *exactRing {
 		space:  space,
 		copies: make(map[string]int),
 	}
-	for _, m := range equivMembers(space, ModeCAMChord, size, 7) {
+	for _, m := range equivMembers(space, mode, size, 7) {
 		addr := m.addr
 		n, err := NewNode(r.log, addr, Config{
-			Space: space, Mode: ModeCAMChord, Capacity: m.cap,
+			Space: space, Mode: mode, Capacity: m.cap,
 			ForwardParallel: forwardParallel, Metrics: r.reg,
 			OnDeliver: func(d Delivery) {
 				r.mu.Lock()
@@ -133,7 +138,7 @@ func forEachFanOut(t *testing.T, f func(t *testing.T, forwardParallel int)) {
 // the slot must be consulted before them.
 func TestSpreadSlotBeatsStaleSuccessor(t *testing.T) {
 	forEachFanOut(t, func(t *testing.T, fp int) {
-		r := newExactRing(t, 16, fp)
+		r := newExactRing(t, ModeCAMChord, 16, fp)
 		x, m := r.at(0, 0), r.at(0, 1)
 
 		// Forget m in x's successor list, as if m joined after x last
@@ -188,7 +193,7 @@ func TestSpreadSuccessorChildSkipsSuspect(t *testing.T) {
 	for _, suspect := range []bool{true, false} {
 		t.Run(fmt.Sprintf("suspect=%v", suspect), func(t *testing.T) {
 			forEachFanOut(t, func(t *testing.T, fp int) {
-				r := newExactRing(t, 16, fp)
+				r := newExactRing(t, ModeCAMChord, 16, fp)
 				// Pick a source whose successor child's segment covers
 				// its second successor, so that entry can inherit it.
 				xi := -1
@@ -247,7 +252,7 @@ func TestSpreadExactCalls(t *testing.T) {
 	}
 	forEachFanOut(t, func(t *testing.T, fp int) {
 		for _, size := range sizes {
-			r := newExactRing(t, size, fp)
+			r := newExactRing(t, ModeCAMChord, size, fp)
 			src := r.nodes[size/3]
 			if _, err := src.Multicast([]byte("warm-up")); err != nil {
 				t.Fatal(err)
@@ -278,6 +283,90 @@ func TestSpreadExactCalls(t *testing.T) {
 				if got := r.spreadCount() - spreads; got != uint64(len(parents)) {
 					t.Errorf("%d members, message %d: %d segment spreads observed, want one per forwarding parent (%d)",
 						size, i, got, len(parents))
+				}
+			}
+		}
+	})
+}
+
+// TestFloodExactCalls: on a converged CAM-Koorde ring, once the first
+// message has gone round, each clean multicast delivers by exactly
+// members-1 flood RPCs, and every member that floods offers the message to
+// each of its neighbours except the one whose flood delivered it: no offer
+// goes back to the sender, and the offers number the neighbours summed over
+// every member less one per relay whose sender is among its neighbours.
+// Serialized, those are all the floods. In parallel two neighbours can
+// offer concurrently to a member that has not yet received the payload;
+// both are accepted, and the later flood is answered as a duplicate, so
+// there the floods beyond members-1 must all be such duplicates.
+func TestFloodExactCalls(t *testing.T) {
+	sizes := []int{16, 64, 256}
+	if testing.Short() {
+		sizes = sizes[:2]
+	}
+	forEachFanOut(t, func(t *testing.T, fp int) {
+		for _, size := range sizes {
+			r := newExactRing(t, ModeCAMKoorde, size, fp)
+			neighbors := make(map[string][]NodeInfo, size)
+			sumNeighbors := 0
+			for _, n := range r.nodes {
+				nbs := n.appendKoordeNeighbors(nil)
+				neighbors[n.Self().Addr] = nbs
+				sumNeighbors += len(nbs)
+			}
+			src := r.nodes[size/3]
+			if _, err := src.Multicast([]byte("warm-up")); err != nil {
+				t.Fatal(err)
+			}
+			r.log.take()
+			for i := 0; i < 3; i++ {
+				msgID, err := src.Multicast([]byte{byte(i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.checkExactlyOnce(t, msgID)
+				calls := r.log.take()
+				sender := make(map[string]string, size) // relay -> the member whose flood delivered to it
+				floods, dups := 0, 0
+				for _, c := range calls {
+					switch {
+					case c.kind != kindFlood:
+					case c.dup:
+						dups++
+					default:
+						sender[c.to] = c.from
+						floods++
+					}
+				}
+				if floods != size-1 || len(sender) != size-1 {
+					t.Errorf("%d members, message %d: %d delivering flood RPCs to %d members, want %d to as many",
+						size, i, floods, len(sender), size-1)
+				}
+				if fp < 0 && dups != 0 {
+					t.Errorf("%d members, message %d: %d duplicate flood RPCs under serialized fan-out, want 0", size, i, dups)
+				}
+				skipped := 0
+				for relay, from := range sender {
+					for _, nb := range neighbors[relay] {
+						if nb.Addr == from {
+							skipped++
+						}
+					}
+				}
+				offers := 0
+				for _, c := range calls {
+					if c.kind != kindOffer {
+						continue
+					}
+					offers++
+					if from, ok := sender[c.from]; ok && from == c.to {
+						t.Errorf("%d members, message %d: %s offered the message back to %s, whose flood it relays",
+							size, i, c.from, c.to)
+					}
+				}
+				if want := sumNeighbors - skipped; offers != want {
+					t.Errorf("%d members, message %d: %d offer RPCs, want %d (%d neighbours less %d senders)",
+						size, i, offers, want, sumNeighbors, skipped)
 				}
 			}
 		}

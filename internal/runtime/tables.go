@@ -40,7 +40,7 @@ type slotSpec struct {
 // several KB per member; now a membership of a million nodes holds a few
 // dozen specs between them and computes slot identifiers on demand.
 type tableSpec struct {
-	slots []slotSpec // ascending (level, seq); koordeNeighbors and replay rely on this order
+	slots []slotSpec // ascending (level, seq); appendKoordeNeighbors and replay rely on this order
 }
 
 func (ts *tableSpec) len() int { return len(ts.slots) }

@@ -377,3 +377,92 @@ func TestSendDeadlineOverTCP(t *testing.T) {
 		})
 	}
 }
+
+// TestPooledDeadlinesOverTCP interleaves many concurrent child sends from
+// one node over TCP, with the deadline sweeper running, so the deadline
+// contexts the sends borrow from their pool are reused across goroutines
+// while the transport still reads earlier ones. Sends to a blocked handler
+// must each fail at about ForwardTimeout, read as unreachable and leave the
+// peer suspect; sends to a live one must each succeed. Under -race a
+// context returned to the pool while the transport still held it is a
+// reported race.
+func TestPooledDeadlinesOverTCP(t *testing.T) {
+	RegisterWireTypes()
+	const (
+		forwardTimeout = 200 * time.Millisecond
+		senders        = 8
+		callsEach      = 24
+	)
+	release := make(chan struct{})
+	blocked, err := transport.NewTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { blocked.Close() })
+	t.Cleanup(func() { close(release) }) // before blocked.Close: unblock its handlers
+	blocked.Register(blocked.Addr(), func(from, kind string, payload any) (any, error) {
+		<-release
+		return pingResp{}, nil
+	})
+	live, err := transport.NewTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { live.Close() })
+	live.Register(live.Addr(), func(from, kind string, payload any) (any, error) {
+		return pingResp{}, nil
+	})
+
+	tr, err := transport.NewTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	n, err := NewNode(tr, tr.Addr(), Config{
+		Space: ring.MustSpace(16), Mode: ModeCAMChord, Capacity: 3,
+		ForwardTimeout: forwardTimeout,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Stop)
+	if err := n.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, senders*callsEach)
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < callsEach; i++ {
+				if (g+i)%4 != 0 {
+					if _, err := n.sendTimed(context.Background(), live.Addr(), kindPing, pingReq{}); err != nil {
+						errs <- fmt.Errorf("sender %d call %d to the live peer: %v", g, i, err)
+					}
+					continue
+				}
+				start := time.Now()
+				_, err := n.sendTimed(context.Background(), blocked.Addr(), kindPing, pingReq{})
+				elapsed := time.Since(start)
+				switch {
+				case err == nil:
+					errs <- fmt.Errorf("sender %d call %d to the blocked peer succeeded", g, i)
+				case !unreachable(err):
+					errs <- fmt.Errorf("sender %d call %d to the blocked peer: err = %v, want one that reads as unreachable", g, i, err)
+				case !n.isSuspect(blocked.Addr()):
+					errs <- fmt.Errorf("sender %d call %d: the blocked peer was not marked suspect", g, i)
+				}
+				if elapsed < forwardTimeout || elapsed > forwardTimeout+time.Second {
+					errs <- fmt.Errorf("sender %d call %d to the blocked peer failed after %v, want about %v", g, i, elapsed, forwardTimeout)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

@@ -282,12 +282,12 @@ func (n *Network) Call(ctx context.Context, from, to, kind string, payload any) 
 // link's, and every group sharing it fails together.
 func (n *Network) CallGroup(ctx context.Context, gid uint64, from, to, kind string, payload any) (any, error) {
 	if n.obs.latency == nil {
-		return n.dispatch(ctx, gid, from, to, kind, payload)
+		return n.dispatch(ctx, gid, from, to, kind, payload, time.Time{})
 	}
 	n.obs.calls.Inc()
 	n.obs.inflight.Add(1)
 	start := time.Now()
-	resp, err := n.dispatch(ctx, gid, from, to, kind, payload)
+	resp, err := n.dispatch(ctx, gid, from, to, kind, payload, start)
 	n.obs.inflight.Add(-1)
 	n.obs.latency.ObserveDuration(time.Since(start))
 	if err != nil {
@@ -296,7 +296,11 @@ func (n *Network) CallGroup(ctx context.Context, gid uint64, from, to, kind stri
 	return resp, err
 }
 
-func (n *Network) dispatch(ctx context.Context, gid uint64, from, to, kind string, payload any) (any, error) {
+// dispatch carries one call. now is the time the call started, when the
+// caller already read it (zero otherwise): with no simulated delay it is
+// the instant the deadline is checked against, so a call reads the clock
+// no more than it must.
+func (n *Network) dispatch(ctx context.Context, gid uint64, from, to, kind string, payload any, now time.Time) (any, error) {
 	n.mu.Lock()
 	step := n.calls
 	n.calls++
@@ -335,11 +339,34 @@ func (n *Network) dispatch(ctx context.Context, gid uint64, from, to, kind strin
 		if err := sleepCtx(ctx, delay); err != nil {
 			return nil, fmt.Errorf("%s -> %s (%s): %w", from, to, kind, err)
 		}
+		now = time.Time{} // the sleep moved the clock on
 	}
-	if err := ctx.Err(); err != nil {
+	if err := ctxErrAt(ctx, now); err != nil {
 		return nil, fmt.Errorf("%s -> %s (%s): %w", from, to, kind, err)
 	}
 	return h(from, kind, payload)
+}
+
+// ctxErrAt is ctx.Err() with the deadline judged at now (read here when
+// zero): the caller's cancellation first, then context.DeadlineExceeded
+// once now has reached ctx's deadline.
+func ctxErrAt(ctx context.Context, now time.Time) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+	}
+	at, ok := ctx.Deadline()
+	if !ok {
+		return nil
+	}
+	if now.IsZero() {
+		now = time.Now()
+	}
+	if !now.Before(at) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // sleepCtx sleeps for d, or until ctx is done or its deadline passes,
