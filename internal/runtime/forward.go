@@ -151,12 +151,10 @@ func (n *Node) resolvePlan(plan []childPlan) []childPlan {
 // rather than spawning a goroutine per child: a child send's call chain
 // (forward -> flow -> mux -> frame writer -> socket) outgrows a fresh
 // goroutine's initial stack, and the per-spawn stack copies were the
-// dominant cost of high-fan-out dissemination over TCP. Handoff is
-// non-blocking — with no lane free the caller runs the item itself — so a
-// nested fan-out (a member of the same process forwarding onward) degrades
-// to inline execution instead of deadlocking the shared pool. A handoff is
-// a poolTask value carrying r, the fan-out's pooled state (spreadFan,
-// floodFan), and wg lives in that state, so a fan-out allocates nothing.
+// dominant cost of high-fan-out dissemination over TCP. A nested fan-out
+// (a member of the same process forwarding onward) that finds the shared
+// pool saturated runs its items inline instead of deadlocking it (see
+// lane).
 func (n *Node) fanOut(count int, r runner, wg *sync.WaitGroup) {
 	if count == 1 {
 		r.run(0)
@@ -170,16 +168,28 @@ func (n *Node) fanOut(count int, r runner, wg *sync.WaitGroup) {
 	}
 	pooled := 0
 	for i := 1; i < count; i++ {
-		pt := poolTask{r: r, i: i, wg: wg}
-		wg.Add(1)
-		if pooled < n.cfg.ForwardParallel-1 && fwdPool.submit(pt) {
-			pooled++
-		} else {
-			pt.do()
-		}
+		n.lane(r, i, wg, &pooled)
 	}
 	r.run(0)
 	wg.Wait()
+}
+
+// lane hands r.run(i) to a pool worker, counted on wg, while the fan-out
+// has handed fewer than ForwardParallel-1 items to the pool (*pooled) and
+// a worker is free; otherwise it runs the item inline. Handoff never
+// blocks. It is a poolTask value carrying r, the fan-out's pooled state
+// (spreadFan, floodFan), and wg lives in that state, so a handoff
+// allocates nothing.
+func (n *Node) lane(r runner, i int, wg *sync.WaitGroup, pooled *int) {
+	if *pooled < n.cfg.ForwardParallel-1 {
+		wg.Add(1)
+		if fwdPool.submit(poolTask{r: r, i: i, wg: wg}) {
+			*pooled++
+			return
+		}
+		wg.Done()
+	}
+	r.run(i)
 }
 
 // runner is one fan-out's work: run(i) serves item i.
@@ -234,40 +244,136 @@ func (s *spreadFan) release() {
 
 // floodFan is one CAM-Koorde flood's fan-out state, borrowed from
 // floodFanPool for the flood's duration: the neighbour buffer, one outcome
-// per neighbour, the boxed offer every neighbour shares, and from, the
-// member that sent this one the payload (empty at the origin).
+// per neighbour, the boxed offer every neighbour shares, the boxed flood
+// every accepted neighbour shares, and from, the member that sent this one
+// the payload (empty at the origin).
 type floodFan struct {
 	fanArgs
-	offer     any
-	from      string
-	neighbors []NodeInfo
-	outcomes  []floodOutcome
-	wg        sync.WaitGroup
+	offer, flood any
+	from         string
+	neighbors    []NodeInfo
+	outcomes     []floodOutcome
+	wg           sync.WaitGroup
 }
 
 // floodOutcome is one neighbour's result: whether it needs repair
 // (unreachable, or reachable but the payload could not be delivered) and
-// whether it is a usable reflood relay.
-type floodOutcome struct{ needRepair, relay bool }
+// whether it is a usable reflood relay. wanted marks a neighbour that
+// accepted the offer, and retry one whose first offer, made by the relay
+// itself, got no answer: its lane makes the remaining attempts.
+type floodOutcome struct{ needRepair, relay, wanted, retry bool }
 
 var floodFanPool = sync.Pool{New: func() any { return new(floodFan) }}
 
-// run serves neighbour i. The sender keeps its slot, so the others keep
-// their order, but it is not offered the message: it has just sent the
-// payload here, so it would refuse, and it is a usable relay.
-func (f *floodFan) run(i int) {
-	nb, o := f.neighbors[i], &f.outcomes[i]
-	if nb.Addr == f.from {
-		o.needRepair, o.relay = false, true
+// serve floods the message to f's neighbours and waits for every flood.
+// Over the wire (a transport with blob payloads, see Node.blobPayloads) an
+// offer is a network round trip, so each neighbour's whole handshake runs
+// on its own lane (fanOut), bounded by ForwardParallel, and a slow or dead
+// neighbour delays only itself. In process an offer costs less than waking
+// a pool worker for it, so the relay makes each offer itself, in plan
+// order, and hands a lane only an accepted flood, which carries a whole
+// subtree, or the retries of an offer that got no answer (inline when the
+// fan-out's lanes are taken). Serialized, a neighbour's flood runs before
+// the next offer either way, which is the RPC sequence replay depends on.
+// The last neighbour's lane work runs on the relay's own goroutine, which
+// has nothing left to do but wait. The sender keeps its slot, so the
+// others keep their order, but it is not offered the message: it has just
+// sent the payload here, so it would refuse, and it is a usable relay.
+func (f *floodFan) serve() {
+	n := f.n
+	if n.blobPayloads {
+		f.boxFlood()
+		n.fanOut(len(f.neighbors), f, &f.wg)
 		return
 	}
-	o.needRepair, o.relay = f.n.floodOne(f.ctx, f.msgID, f.offer, f.source, f.payload, nb, f.hops)
+	pooled, last := 0, len(f.neighbors)-1
+	for i, nb := range f.neighbors {
+		o := &f.outcomes[i]
+		if nb.Addr == f.from {
+			o.relay = true
+			continue
+		}
+		switch v := f.offerAttempts(i, 0, 0); {
+		case v == offerFailed && n.cfg.ForwardRetries > 0:
+			o.retry = true
+		case !o.settle(v):
+			continue
+		}
+		f.boxFlood()
+		if i == last {
+			f.run(i)
+		} else {
+			n.lane(f, i, &f.wg, &pooled)
+		}
+	}
+	f.wg.Wait()
+}
+
+// run serves neighbour i on its lane: the offer handshake that serve has
+// not settled (all of it over the wire, the retries of an unanswered first
+// offer in process), then the flood.
+func (f *floodFan) run(i int) {
+	n, nb, o := f.n, f.neighbors[i], &f.outcomes[i]
+	if !o.wanted {
+		if nb.Addr == f.from {
+			o.relay = true
+			return
+		}
+		first := 0
+		if o.retry {
+			first = 1
+		}
+		if !o.settle(f.offerAttempts(i, first, n.cfg.ForwardRetries)) {
+			return
+		}
+	}
+	o.needRepair, o.relay = n.floodTo(f.ctx, f.msgID, f.flood, nb)
+}
+
+// offerAttempts makes offer attempts first..last (0-based) to neighbour i,
+// backing off before each retry, until one is answered, and returns the
+// last attempt's verdict.
+func (f *floodFan) offerAttempts(i, first, last int) offerVerdict {
+	n, to := f.n, f.neighbors[i].Addr
+	v := offerFailed
+	for attempt := first; v == offerFailed && attempt <= last; attempt++ {
+		if attempt > 0 {
+			n.backoff(f.ctx, attempt-1)
+		}
+		resp, err := n.sendTimed(f.ctx, to, kindOffer, f.offer)
+		v = n.offerVerdict(f.ctx, f.msgID, to, attempt, resp, err)
+	}
+	return v
+}
+
+// settle records the final verdict v of a neighbour's offer and reports
+// whether the neighbour wants the payload.
+func (o *floodOutcome) settle(v offerVerdict) bool {
+	switch v {
+	case offerFailed:
+		o.needRepair = true // unreachable neighbor: repair via the surviving mesh
+	case offerRefused:
+		o.relay = true
+	case offerWanted:
+		o.wanted = true
+	}
+	return o.wanted
+}
+
+// boxFlood boxes the flood's floodReq once, for every flood and retry of
+// the fan-out to share. It runs before any lane that may flood is handed
+// out.
+func (f *floodFan) boxFlood() {
+	if f.flood == nil {
+		f.flood = floodReq{MsgID: f.msgID, Source: f.source, Payload: f.payload.bytes, Hops: f.hops + 1, blob: f.payload.blob}
+	}
 }
 
 // release returns f to its pool holding no reference into the flood.
 func (f *floodFan) release() {
 	clear(f.neighbors)
-	f.fanArgs, f.offer, f.from = fanArgs{}, nil, ""
+	clear(f.outcomes)
+	f.fanArgs, f.offer, f.flood, f.from = fanArgs{}, nil, nil, ""
 	f.neighbors, f.outcomes = f.neighbors[:0], f.outcomes[:0]
 	floodFanPool.Put(f)
 }
@@ -665,52 +771,52 @@ func (n *Node) noteRepaired(msgID string, segEnd ring.ID, to string) {
 	n.emitf(obsv.KindRepair, "%s segment end %d handed to %s", msgID, segEnd, to)
 }
 
-// floodOne runs the offer/accept handshake and payload delivery for one
-// CAM-Koorde neighbor, with retries on both phases. offer is the flood's
-// offerReq, boxed once and shared by every neighbor. It reports whether the
-// neighbor needs repair (unreachable, or reachable but the payload could
-// not be delivered) and whether it is a usable reflood relay (it responded
-// to an offer, so it either has the message or is about to decline it).
-func (n *Node) floodOne(ctx context.Context, msgID string, offer any, source NodeInfo, payload payloadRef, nb NodeInfo, hops int) (needRepair, relay bool) {
-	var want bool
-	offered := false
-	for attempt := 0; attempt <= n.cfg.ForwardRetries; attempt++ {
-		if attempt > 0 {
-			n.backoff(ctx, attempt-1)
+// offerVerdict is what one offer attempt settled.
+type offerVerdict uint8
+
+const (
+	offerFailed    offerVerdict = iota // no answer: retry, or repair once out of retries
+	offerAbandoned                     // the caller cancelled, or the answer was malformed: not a neighbour failure, not a relay
+	offerRefused                       // the neighbour has the message: a usable reflood relay
+	offerWanted                        // the neighbour wants the payload
+)
+
+// offerVerdict classifies the outcome of offer attempt (0-based) to nb,
+// accounting a refusal as a duplicate and a failure that will be retried
+// as a retry.
+func (n *Node) offerVerdict(ctx context.Context, msgID, nb string, attempt int, resp any, err error) offerVerdict {
+	if err != nil {
+		if ctx.Err() != nil {
+			return offerAbandoned
 		}
-		resp, err := n.sendTimed(ctx, nb.Addr, kindOffer, offer)
-		if err != nil {
-			if ctx.Err() != nil {
-				return false, false // caller canceled; not a neighbor failure
-			}
-			if attempt < n.cfg.ForwardRetries {
-				n.noteRetry(msgID, nb.Addr, attempt+1, err)
-			}
-			continue
+		if attempt < n.cfg.ForwardRetries {
+			n.noteRetry(msgID, nb, attempt+1, err)
 		}
-		offer, ok := resp.(offerResp)
-		if !ok {
-			return false, false // malformed response; treat the neighbor as unusable
-		}
-		offered, want = true, offer.Want
-		break
+		return offerFailed
 	}
-	if !offered {
-		return true, false // unreachable neighbor: repair via the surviving mesh
+	offer, ok := resp.(offerResp)
+	if !ok {
+		return offerAbandoned
 	}
-	if !want {
+	if !offer.Want {
 		n.duplicates.Add(1)
 		n.obs.duplicates.Inc()
-		return false, true
+		return offerRefused
 	}
+	return offerWanted
+}
 
+// floodTo delivers the payload to nb, a neighbour that accepted the offer.
+// req is the flood's floodReq, boxed once and shared by every neighbour.
+// It reports whether the neighbour needs repair (the payload could not be
+// delivered) and whether it is a usable reflood relay.
+func (n *Node) floodTo(ctx context.Context, msgID string, req any, nb NodeInfo) (needRepair, relay bool) {
 	// The neighbor is known-live and wants the message: a payload failure
 	// here is always retried at least once before giving up.
 	sendTries := n.cfg.ForwardRetries
 	if sendTries < 1 {
 		sendTries = 1
 	}
-	req := floodReq{MsgID: msgID, Source: source, Payload: payload.bytes, Hops: hops + 1, blob: payload.blob}
 	for attempt := 0; ; attempt++ {
 		_, err := n.sendTimed(ctx, nb.Addr, kindFlood, req)
 		if err == nil {

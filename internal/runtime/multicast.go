@@ -177,9 +177,11 @@ func (n *Node) handleReflood(from string, req floodReq) (any, error) {
 // message to every neighbor over the bidirectional links and send the
 // payload only to those that have not received it. from, the neighbour
 // that sent this member the payload (empty at the origin), is not offered
-// it. Neighbors are contacted concurrently under the fan-out limit;
-// unreachable or undeliverable neighbors trigger a reflood repair through
-// the surviving mesh.
+// it. In process the member makes the offers itself and runs the accepted
+// floods concurrently under the fan-out limit; over the wire each
+// neighbour's handshake runs on its own lane (floodFan.serve). Unreachable
+// or undeliverable neighbors trigger a reflood repair through the
+// surviving mesh.
 func (n *Node) floodNeighbors(ctx context.Context, msgID string, source NodeInfo, payload payloadRef, hops int, from string) {
 	f := floodFanPool.Get().(*floodFan)
 	defer f.release()
@@ -191,7 +193,7 @@ func (n *Node) floodNeighbors(ctx context.Context, msgID string, source NodeInfo
 	f.fanArgs = fanArgs{n: n, ctx: ctx, msgID: msgID, source: source, payload: payload, hops: hops}
 	f.offer, f.from = offerReq{MsgID: msgID}, from
 	f.outcomes = slices.Grow(f.outcomes, len(f.neighbors))[:len(f.neighbors)]
-	n.fanOut(len(f.neighbors), f, &f.wg)
+	f.serve()
 	n.obs.spreadTime.ObserveDuration(time.Since(start))
 	if ctx.Err() != nil {
 		return // caller gave up; don't account abandoned sends as losses

@@ -278,7 +278,9 @@ type Node struct {
 	net   Transport
 	// blobPayloads records whether the transport sends BlobMarshaler
 	// payloads zero-copy, in which case Multicast materializes the payload
-	// into a shared transport.Blob once up front.
+	// into a shared transport.Blob once up front. Only a transport whose
+	// calls cross the wire does, so a CAM-Koorde relay also reads it to
+	// run each offer on its own lane (floodFan.serve).
 	blobPayloads bool
 
 	clock timing.Clock

@@ -2,8 +2,12 @@ package runtime
 
 import (
 	"context"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -289,6 +293,49 @@ func TestSpreadExactCalls(t *testing.T) {
 	})
 }
 
+var updateFloodLogs = flag.Bool("update-flood-logs", false, "rewrite testdata/flood_serialized_*.log from this tree")
+
+// checkFloodLog compares the ordered (from, to, kind) RPC log of one
+// serialized CAM-Koorde multicast on a size-member exact ring with the one
+// recorded in testdata, so a change to how a relay makes its offers and
+// floods cannot reorder, add or drop an RPC of the serialized fan-out the
+// replay engine depends on.
+func checkFloodLog(t *testing.T, size int, calls []loggedCall) {
+	t.Helper()
+	var b strings.Builder
+	for _, c := range calls {
+		fmt.Fprintf(&b, "%s %s %s\n", c.from, c.to, c.kind)
+	}
+	path := filepath.Join("testdata", fmt.Sprintf("flood_serialized_%d.log", size))
+	if *updateFloodLogs {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("%d members: serialized RPC %d is %q, want %q (%d RPCs, want %d; %s)",
+				size, i, g, w, len(got)-1, len(wantLines)-1, path)
+		}
+	}
+}
+
 // TestFloodExactCalls: on a converged CAM-Koorde ring, once the first
 // message has gone round, each clean multicast delivers by exactly
 // members-1 flood RPCs, and every member that floods offers the message to
@@ -299,6 +346,8 @@ func TestSpreadExactCalls(t *testing.T) {
 // offer concurrently to a member that has not yet received the payload;
 // both are accepted, and the later flood is answered as a duplicate, so
 // there the floods beyond members-1 must all be such duplicates.
+// Serialized, the first message's ordered RPC log on the 16- and 64-member
+// rings must also match the recorded one (checkFloodLog).
 func TestFloodExactCalls(t *testing.T) {
 	sizes := []int{16, 64, 256}
 	if testing.Short() {
@@ -326,6 +375,9 @@ func TestFloodExactCalls(t *testing.T) {
 				}
 				r.checkExactlyOnce(t, msgID)
 				calls := r.log.take()
+				if fp < 0 && i == 0 && size <= 64 {
+					checkFloodLog(t, size, calls)
+				}
 				sender := make(map[string]string, size) // relay -> the member whose flood delivered to it
 				floods, dups := 0, 0
 				for _, c := range calls {

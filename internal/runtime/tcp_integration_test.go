@@ -466,3 +466,134 @@ func TestPooledDeadlinesOverTCP(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// tcpKoordeGroup bulk-installs size CAM-Koorde members of capacity 4, each
+// on its own loopback TCP transport as separate processes would have, and
+// returns them sorted by identifier with their transports. tweak adjusts
+// the config of the member at addr.
+func tcpKoordeGroup(t *testing.T, size int, tweak func(addr string, cfg *Config)) ([]*Node, map[*Node]*transport.TCP) {
+	t.Helper()
+	RegisterWireTypes()
+	nodes := make([]*Node, 0, size)
+	trs := make(map[*Node]*transport.TCP, size)
+	t.Cleanup(func() {
+		for _, n := range nodes {
+			n.Stop()
+		}
+		for _, tr := range trs {
+			tr.Close()
+		}
+	})
+	for i := 0; i < size; i++ {
+		tr, err := transport.NewTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 32 bits: identifiers hashed from loopback addresses must not
+		// collide, which for eight members in 16 bits happens about once
+		// in 2 300 groups.
+		cfg := Config{Space: ring.MustSpace(32), Mode: ModeCAMKoorde, Capacity: 4}
+		tweak(tr.Addr(), &cfg)
+		n, err := NewNode(tr, tr.Addr(), cfg)
+		if err != nil {
+			tr.Close()
+			t.Fatal(err)
+		}
+		nodes = append(nodes, n)
+		trs[n] = tr
+	}
+	if err := BulkInstall(nodes, BulkOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Self().ID < nodes[j].Self().ID })
+	return nodes, trs
+}
+
+// holdHandler makes n's transport hold every request to n until release
+// closes, then serve it as n would have.
+func holdHandler(n *Node, tr *transport.TCP, release <-chan struct{}) {
+	tr.Register(n.Self().Addr, func(from, kind string, payload any) (any, error) {
+		<-release
+		return n.handleRPC(from, kind, payload)
+	})
+}
+
+// TestFloodSlowNeighborOverTCP: over TCP a CAM-Koorde relay runs each
+// neighbour's offer on its own lane, so a neighbour whose handler blocks
+// delays only its own offer. The blocked member is the source's
+// predecessor, the first neighbour of its plan: offers made one after
+// another, as the relay makes them in process, would hold every flood
+// behind it until ForwardTimeout. Every other member must have the message well before
+// then, and the source must mark the blocked member suspect, which only a
+// failure that reads as unreachable does, at about ForwardTimeout.
+func TestFloodSlowNeighborOverTCP(t *testing.T) {
+	const (
+		size           = 8
+		forwardTimeout = time.Second
+	)
+	var (
+		mu        sync.Mutex
+		delivered = make(map[string]time.Time)
+	)
+	nodes, trs := tcpKoordeGroup(t, size, func(addr string, cfg *Config) {
+		cfg.ForwardTimeout = forwardTimeout
+		cfg.OnDeliver = func(Delivery) {
+			mu.Lock()
+			delivered[addr] = time.Now()
+			mu.Unlock()
+		}
+	})
+	slow, src := nodes[0], nodes[1]
+	if nbs := src.appendKoordeNeighbors(nil); len(nbs) == 0 || nbs[0].Addr != slow.Self().Addr {
+		t.Fatalf("the source's first neighbour is %v, want its predecessor %s", nbs, slow.Self().Addr)
+	}
+	release := make(chan struct{})
+	var released sync.Once
+	// Registered after the group's cleanup, so it runs first: held
+	// handlers finish before the transports close.
+	t.Cleanup(func() { released.Do(func() { close(release) }) })
+	holdHandler(slow, trs[slow], release)
+
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := src.Multicast([]byte("around a slow neighbour"))
+		done <- err
+	}()
+
+	// Every member but the slow one has the message well before the
+	// slow one's offer can time out.
+	for {
+		mu.Lock()
+		got := len(delivered)
+		mu.Unlock()
+		if got == size-1 {
+			break
+		}
+		if time.Since(start) > forwardTimeout/2 {
+			t.Fatalf("after %v only %d of %d members have the message: the slow neighbour held the flood up", time.Since(start), got, size-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if src.isSuspect(slow.Self().Addr) {
+		t.Fatal("the slow neighbour was marked suspect before its offer's deadline")
+	}
+	for !src.isSuspect(slow.Self().Addr) {
+		if time.Since(start) > forwardTimeout+time.Second {
+			t.Fatalf("the slow neighbour was not marked suspect %v after the multicast began", time.Since(start))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if elapsed := time.Since(start); elapsed < forwardTimeout {
+		t.Errorf("the slow neighbour was marked suspect after %v, before its %v deadline", elapsed, forwardTimeout)
+	}
+	released.Do(func() { close(release) })
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * forwardTimeout):
+		t.Fatal("the multicast did not return once the slow neighbour answered")
+	}
+}
