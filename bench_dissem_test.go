@@ -101,7 +101,7 @@ func benchMulticastTCP(b *testing.B, fanout, size int) {
 		if i > 0 {
 			via = members[0].Addr()
 		}
-		m, err := ListenTCP("127.0.0.1:0", via, benchDissemOpts(fanout, &delivered))
+		m, err := ListenTCP("127.0.0.1:0", via, benchDissemOpts(fanout, &delivered), HostOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

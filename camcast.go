@@ -58,7 +58,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -220,8 +219,8 @@ type Options struct {
 	// delivery use for retransmission. nil rejects such requests.
 	OnRequest func(from string, payload []byte) ([]byte, error)
 	// Stabilize and Fix set the background maintenance cadence. Zero means
-	// the Network's defaults (20ms in-process). Negative disables
-	// background maintenance; drive it explicitly with Network.Settle.
+	// the default (20ms) on either transport. Negative disables background
+	// maintenance; drive it explicitly with Group.Settle or Network.Settle.
 	Stabilize time.Duration
 	Fix       time.Duration
 
@@ -249,19 +248,6 @@ type Options struct {
 	// children; a ring pointer is dropped only when a call to its peer
 	// fails. Zero or negative keeps the default (1s).
 	SuspicionWindow time.Duration
-	// DialTimeout bounds TCP connection establishment (ListenTCP members
-	// only; in-process members ignore it). Zero keeps the transport
-	// default (2s).
-	DialTimeout time.Duration
-	// RPCTimeout bounds each TCP request/response exchange so a hung peer
-	// cannot wedge a pooled connection (ListenTCP members only). Zero
-	// keeps the transport default (10s).
-	RPCTimeout time.Duration
-	// GroupBacklogLimit bounds, per group and per connection, the bytes
-	// of unflushed outbound requests (ListenTCP and Group.Listen members
-	// only — members added to a shared host with Group.ListenOn inherit
-	// the host's HostOptions.GroupBacklogLimit). Zero disables the quota.
-	GroupBacklogLimit int
 
 	// Observer, if set, receives this member's protocol events (joins,
 	// forwards, repairs, deliveries) as they happen. Delivery is
@@ -292,30 +278,27 @@ const (
 // CreateGroup adds further isolated groups multiplexed over the same
 // transport. It is safe for concurrent use.
 type Network struct {
+	*host
 	tr  *transport.Network
-	bus *obsv.Bus
-	reg *obsv.Registry
 	def *Group // the always-present "default" group, flow label 0
 
-	mu     sync.Mutex
+	gmu    sync.Mutex
 	groups map[string]*Group // by name
-	flows  map[uint64]*Group // by flow label, to reject hash collisions
-	closed bool
+	labels map[uint64]*Group // by flow label, to reject hash collisions
 }
 
 // NewNetwork creates an empty in-process network with its default group.
 func NewNetwork() *Network {
+	tr := transport.NewNetwork(1)
 	n := &Network{
-		tr:     transport.NewNetwork(1),
-		bus:    obsv.NewBus(),
-		reg:    obsv.NewRegistry(),
+		host:   newHost(tr),
+		tr:     tr,
 		groups: make(map[string]*Group),
-		flows:  make(map[uint64]*Group),
+		labels: make(map[uint64]*Group),
 	}
-	n.tr.Instrument(n.reg)
-	n.def = n.newGroup("default", transport.DefaultGroup, "")
+	n.def = newGroup(n.host, "default", transport.DefaultGroup, "")
 	n.groups["default"] = n.def
-	n.flows[transport.DefaultGroup] = n.def
+	n.labels[transport.DefaultGroup] = n.def
 	return n
 }
 
@@ -364,17 +347,11 @@ func (n *Network) Observe(fn func(Event)) (stop func()) {
 // groups, sorted by ring identifier. Members outside the default group
 // carry their group's name in NeighborInfo.Group.
 func (n *Network) Neighbors() []NeighborInfo {
-	var out []NeighborInfo
+	var members []*Member
 	for _, g := range n.groupSnapshot() {
-		out = append(out, g.Neighbors()...)
+		members = append(members, g.snapshot()...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID != out[j].ID {
-			return out[i].ID < out[j].ID
-		}
-		return out[i].Group < out[j].Group
-	})
-	return out
+	return neighborsOf(members)
 }
 
 // Create starts the first member of the default group at addr; see
@@ -413,8 +390,8 @@ func (n *Network) Settle(rounds int) {
 }
 
 func (n *Network) groupSnapshot() []*Group {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.gmu.Lock()
+	defer n.gmu.Unlock()
 	out := make([]*Group, 0, len(n.groups))
 	for _, g := range n.groups {
 		out = append(out, g)
@@ -422,29 +399,9 @@ func (n *Network) groupSnapshot() []*Group {
 	return out
 }
 
-// Close stops every member of every group and shuts the network down.
-func (n *Network) Close() {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	n.closed = true
-	groups := make([]*Group, 0, len(n.groups))
-	for _, g := range n.groups {
-		groups = append(groups, g)
-	}
-	n.mu.Unlock()
-	for _, g := range groups {
-		g.mu.Lock()
-		members := g.members
-		g.members = make(map[string]*Member)
-		g.mu.Unlock()
-		for _, m := range members {
-			m.stop()
-		}
-	}
-}
+// Close stops every in-process member of every group and shuts the
+// network down. TCP members stop with their TCPHost.
+func (n *Network) Close() { n.close() }
 
 // Member is one live group member: in-process on a Network (Create, Join)
 // or on a real TCP socket, exactly as a separate process or host would run
@@ -452,15 +409,11 @@ func (n *Network) Close() {
 // same for both.
 type Member struct {
 	node    *runtime.Node
-	group   string
-	host    *TCPHost // nil for in-process members
-	bus     *obsv.Bus
-	reg     *obsv.Registry
-	stopObs func() // detaches Options.Observer; nil when unset
-	// detach removes the member from the group or host that tracks it and,
-	// for a member that owns its host (ListenTCP, Group.Listen), closes the
-	// host. Its creator supplies it.
-	detach func()
+	group   *Group
+	host    *host    // the Network's or TCPHost's
+	tcp     *TCPHost // nil for in-process members
+	owns    bool     // closing the member closes tcp (ListenTCP, Group.Listen)
+	stopObs func()   // detaches Options.Observer; nil when unset
 }
 
 // start builds the member's node on tr and bootstraps the group's overlay
@@ -474,10 +427,10 @@ func (m *Member) start(tr runtime.Transport, addr, via string, cfg runtime.Confi
 		}
 	}
 	cfg.OnRequest = opts.OnRequest
-	cfg.Bus = m.bus
-	cfg.Metrics = m.reg
+	cfg.Bus = m.host.bus
+	cfg.Metrics = m.host.reg
 	if opts.Observer != nil {
-		m.stopObs = observe(m.bus, m.reg, addr, opts.Observer)
+		m.stopObs = observe(m.host.bus, m.host.reg, addr, opts.Observer)
 	}
 	node, err := runtime.NewNode(tr, addr, cfg)
 	if err == nil {
@@ -522,11 +475,11 @@ func (m *Member) Capacity() int { return m.node.Capacity() }
 
 // Group returns the name of the group the member belongs to ("default"
 // for members started with Network.Create/Join or ListenTCP).
-func (m *Member) Group() string { return m.group }
+func (m *Member) Group() string { return m.group.name }
 
 // Host returns the TCPHost carrying the member, or nil for an in-process
 // member.
-func (m *Member) Host() *TCPHost { return m.host }
+func (m *Member) Host() *TCPHost { return m.tcp }
 
 // MulticastContext sends payload to every group member (including this
 // one) and returns the message ID. Cancellation abandons outstanding child
@@ -550,7 +503,7 @@ func (m *Member) Stats() Stats { return m.node.Stats() }
 // Network's for an in-process member, its host's for a TCP member (which
 // adds the TCP transport's RPC latency, in-flight calls and flush batch
 // sizes). Either way it also covers the members sharing that registry.
-func (m *Member) Metrics() MetricsSnapshot { return m.reg.Snapshot() }
+func (m *Member) Metrics() MetricsSnapshot { return m.host.reg.Snapshot() }
 
 // Neighbors reports the member's current ring neighborhood.
 func (m *Member) Neighbors() NeighborInfo { return neighborInfo(m.node) }
@@ -558,7 +511,7 @@ func (m *Member) Neighbors() NeighborInfo { return neighborInfo(m.node) }
 // Observe attaches fn to this member's events only and returns a function
 // that detaches it; see Network.Observe for a whole network's stream.
 func (m *Member) Observe(fn func(Event)) (stop func()) {
-	return observe(m.bus, m.reg, m.Addr(), fn)
+	return observe(m.host.bus, m.host.reg, m.Addr(), fn)
 }
 
 // DebugHandler returns the member's live debug surface —
@@ -567,8 +520,8 @@ func (m *Member) Observe(fn func(Event)) (stop func()) {
 // member shares (see Metrics); neighbors are the member's own.
 func (m *Member) DebugHandler() http.Handler {
 	return obsv.Debug{
-		Registry:  m.reg,
-		Bus:       m.bus,
+		Registry:  m.host.reg,
+		Bus:       m.host.bus,
 		Neighbors: func() any { return []NeighborInfo{m.Neighbors()} },
 		Extra:     func() any { return m.Stats() },
 	}.Handler()
@@ -582,7 +535,7 @@ func (m *Member) StabilizeOnce() { m.node.StabilizeOnce() }
 func (m *Member) FixAll() { m.node.FixAll() }
 
 // Leave departs gracefully, telling ring neighbors to splice the member
-// out, and detaches it from its group or host.
+// out, and detaches it from its group and host.
 func (m *Member) Leave() error {
 	err := m.node.Leave()
 	m.stopObserver()

@@ -374,7 +374,6 @@ func TestListenTCPGroup(t *testing.T) {
 			Fix:       -1,
 			// Tight budgets so a failure would surface quickly.
 			ForwardTimeout: 2 * time.Second,
-			RPCTimeout:     2 * time.Second,
 			OnDeliver: func(m Message) {
 				mu.Lock()
 				defer mu.Unlock()
@@ -394,7 +393,7 @@ func TestListenTCPGroup(t *testing.T) {
 		if i > 0 {
 			via = members[0].Addr()
 		}
-		m, err := ListenTCP("127.0.0.1:0", via, opts(self))
+		m, err := ListenTCP("127.0.0.1:0", via, opts(self), HostOptions{RPCTimeout: 2 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -426,31 +426,21 @@ func (g *memGroup) groupList() []camcast.GroupInfo { return g.net.Groups() }
 
 func (g *memGroup) close() { g.net.Close() }
 
-// tcpGroup hosts each member on its own real TCP listener (loopback).
+// tcpGroup hosts each member on its own real TCP listener (loopback), in
+// the groups of the same control plane as the in-process mode: the current
+// group counts, lists and settles its TCP members like in-process ones.
 // Labels name members at the REPL; the transport uses the bound
-// "127.0.0.1:port" addresses underneath. Tenant groups come from the same
-// control plane as the in-process mode: cur selects which group new
-// listeners register their flow under. The mutex covers the member map:
+// "127.0.0.1:port" addresses underneath. The mutex covers the label map:
 // the REPL goroutine mutates it while the -debug-addr HTTP server reads it.
 type tcpGroup struct {
-	net *camcast.Network
-	cur *camcast.Group
+	*memGroup
 
 	mu      sync.Mutex
-	members map[string]*camcast.Member
+	members map[string]*camcast.Member // by label
 }
 
 func newTCPGroup() *tcpGroup {
-	n := camcast.NewNetwork()
-	return &tcpGroup{net: n, cur: n.DefaultGroup(), members: make(map[string]*camcast.Member)}
-}
-
-func (g *tcpGroup) tcpOptions(opts camcast.Options) camcast.Options {
-	// Loopback members tolerate tight failure-detection windows; keep the
-	// REPL snappy after a crash.
-	opts.DialTimeout = 2 * time.Second
-	opts.RPCTimeout = 2 * time.Second
-	return opts
+	return &tcpGroup{memGroup: newMemGroup(), members: make(map[string]*camcast.Member)}
 }
 
 func (g *tcpGroup) lookup(label string) (*camcast.Member, bool) {
@@ -461,23 +451,10 @@ func (g *tcpGroup) lookup(label string) (*camcast.Member, bool) {
 }
 
 func (g *tcpGroup) create(label string, opts camcast.Options) (*camcast.Member, error) {
-	if _, ok := g.lookup(label); ok {
-		return nil, fmt.Errorf("member %q already exists", label)
-	}
-	m, err := g.cur.Listen("127.0.0.1:0", "", g.tcpOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	g.mu.Lock()
-	g.members[label] = m
-	g.mu.Unlock()
-	return m, nil
+	return g.listen(label, "", opts)
 }
 
 func (g *tcpGroup) join(label, via string, opts camcast.Options) (*camcast.Member, error) {
-	if _, ok := g.lookup(label); ok {
-		return nil, fmt.Errorf("member %q already exists", label)
-	}
 	boot, ok := g.lookup(via)
 	if !ok {
 		return nil, fmt.Errorf("no member %q to join through", via)
@@ -485,7 +462,18 @@ func (g *tcpGroup) join(label, via string, opts camcast.Options) (*camcast.Membe
 	if boot.Group() != g.cur.Name() {
 		return nil, fmt.Errorf("member %q is in group %q, not the current group %q", via, boot.Group(), g.cur.Name())
 	}
-	m, err := g.cur.Listen("127.0.0.1:0", boot.Addr(), g.tcpOptions(opts))
+	return g.listen(label, boot.Addr(), opts)
+}
+
+// listen starts the member labelled label on a listener of its own in the
+// current group.
+func (g *tcpGroup) listen(label, via string, opts camcast.Options) (*camcast.Member, error) {
+	if _, ok := g.lookup(label); ok {
+		return nil, fmt.Errorf("member %q already exists", label)
+	}
+	// Loopback peers answer fast: a tight RPC deadline keeps the REPL
+	// snappy after a crash.
+	m, err := g.cur.Listen("127.0.0.1:0", via, opts, camcast.HostOptions{RPCTimeout: 2 * time.Second})
 	if err != nil {
 		return nil, err
 	}
@@ -515,79 +503,30 @@ func (g *tcpGroup) labels() []string {
 	return out
 }
 
-func (g *tcpGroup) groupCreate(name, token string) error {
-	_, err := g.net.CreateGroup(name, camcast.GroupOptions{Token: token})
-	return err
-}
-
-func (g *tcpGroup) groupUse(name, token string) (string, error) {
-	grp, err := g.net.JoinGroup(name, token)
-	if err != nil {
-		return "", err
-	}
-	g.cur = grp
-	return grp.Name(), nil
-}
-
-func (g *tcpGroup) groupList() []camcast.GroupInfo {
-	// Network-level membership tracks the in-process members only; count
-	// the REPL's TCP listeners per group instead so the listing reflects
-	// what the user built.
-	infos := g.net.Groups()
+// take removes the member labelled label from the REPL's map.
+func (g *tcpGroup) take(label string) (*camcast.Member, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for i := range infos {
-		n := 0
-		for _, m := range g.members {
-			if m.Group() == infos[i].Name {
-				n++
-			}
-		}
-		infos[i].MemberCount = n
+	m, ok := g.members[label]
+	if !ok {
+		return nil, fmt.Errorf("no such member %q", label)
 	}
-	return infos
-}
-
-func (g *tcpGroup) snapshot() []*camcast.Member {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]*camcast.Member, 0, len(g.members))
-	for _, m := range g.members {
-		out = append(out, m)
-	}
-	return out
-}
-
-func (g *tcpGroup) settle(rounds int) {
-	members := g.snapshot()
-	for r := 0; r < rounds; r++ {
-		for _, m := range members {
-			m.StabilizeOnce()
-		}
-		for _, m := range members {
-			m.FixAll()
-		}
-	}
+	delete(g.members, label)
+	return m, nil
 }
 
 func (g *tcpGroup) leave(label string) error {
-	g.mu.Lock()
-	m, ok := g.members[label]
-	delete(g.members, label)
-	g.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("no such member %q", label)
+	m, err := g.take(label)
+	if err != nil {
+		return err
 	}
 	return m.Leave()
 }
 
 func (g *tcpGroup) crash(label string) error {
-	g.mu.Lock()
-	m, ok := g.members[label]
-	delete(g.members, label)
-	g.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("no such member %q", label)
+	m, err := g.take(label)
+	if err != nil {
+		return err
 	}
 	m.Close()
 	return nil
@@ -624,8 +563,14 @@ func (g *tcpGroup) debugHandler() http.Handler {
 	})
 }
 
+// close stops every member: each owns its listener, which the Network
+// does not.
 func (g *tcpGroup) close() {
-	for _, m := range g.snapshot() {
+	g.mu.Lock()
+	members := g.members
+	g.members = nil
+	g.mu.Unlock()
+	for _, m := range members {
 		m.Close()
 	}
 	g.net.Close()

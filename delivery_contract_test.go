@@ -38,7 +38,6 @@ func TestDeliveryPayloadBorrowContract(t *testing.T) {
 			Stabilize:      -1,
 			Fix:            -1,
 			ForwardTimeout: 2 * time.Second,
-			RPCTimeout:     2 * time.Second,
 			OnDeliver: func(m Message) {
 				mu.Lock()
 				defer mu.Unlock()
@@ -57,7 +56,7 @@ func TestDeliveryPayloadBorrowContract(t *testing.T) {
 		if i > 0 {
 			via = members[0].Addr()
 		}
-		m, err := ListenTCP("127.0.0.1:0", via, opts(self, i == 2))
+		m, err := ListenTCP("127.0.0.1:0", via, opts(self, i == 2), HostOptions{RPCTimeout: 2 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}

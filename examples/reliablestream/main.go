@@ -53,14 +53,16 @@ func run() error {
 	}
 
 	// One streamer, five subscribers.
-	streamer, err := reliable.New(net, "streamer", "", opts(), reliable.Config{})
+	create := func(o camcast.Options) (*camcast.Member, error) { return net.Create("streamer", o) }
+	streamer, err := reliable.New(create, opts(), reliable.Config{})
 	if err != nil {
 		return err
 	}
 	members := []string{"sub-1", "sub-2", "sub-3", "sub-4", "sub-5"}
 	sessions := make([]*reliable.Session, len(members))
 	for i, m := range members {
-		if sessions[i], err = reliable.New(net, m, "streamer", opts(), cfg(m)); err != nil {
+		join := func(o camcast.Options) (*camcast.Member, error) { return net.Join(m, "streamer", o) }
+		if sessions[i], err = reliable.New(join, opts(), cfg(m)); err != nil {
 			return err
 		}
 		net.Settle(1)

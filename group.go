@@ -41,10 +41,10 @@ type GroupInfo struct {
 	Flow uint64 `json:"flow"`
 	// Protected reports whether a token is required to join or describe.
 	Protected bool `json:"protected"`
-	// MemberCount is the number of live in-process members. TCP members
-	// are tracked by their TCPHost, not the group (see Group.ListenOn).
+	// MemberCount is the number of the group's live members in this
+	// process, in-process and TCP alike.
 	MemberCount int `json:"member_count"`
-	// Members lists in-process member addresses. Only Describe fills it;
+	// Members lists those members' addresses. Only Describe fills it;
 	// group listings omit it.
 	Members []string `json:"members,omitempty"`
 	// Counters is the group's forwarding-outcome tally.
@@ -67,15 +67,14 @@ type GroupInfo struct {
 // are shared across groups, except for the per-group forwarding counters
 // and the transport's per-group "transport.group.*" metrics.
 type Group struct {
-	net      *Network
+	home     *host // the Network's, which Create and Join add members to
 	name     string
 	gid      uint64
 	token    string
-	flow     *transport.Flow
 	counters *metrics.Counters
 
 	mu      sync.Mutex
-	members map[string]*Member
+	members map[string]*Member // by address: every member in this process, on any host
 }
 
 // Name returns the group's name.
@@ -101,7 +100,7 @@ func (g *Group) checkToken(token string) bool {
 
 // Create starts the first member of this group's in-process overlay at addr.
 func (g *Group) Create(addr string, opts Options) (*Member, error) {
-	return g.start(addr, "", opts)
+	return g.add(&Member{host: g.home}, addr, "", opts)
 }
 
 // Join adds an in-process member at addr, entering the group's overlay
@@ -110,47 +109,10 @@ func (g *Group) Join(addr, via string, opts Options) (*Member, error) {
 	if via == "" {
 		return nil, fmt.Errorf("camcast: join requires a bootstrap address")
 	}
-	return g.start(addr, via, opts)
+	return g.add(&Member{host: g.home}, addr, via, opts)
 }
 
-func (g *Group) start(addr, via string, opts Options) (*Member, error) {
-	cfg, err := buildConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	n := g.net
-	n.mu.Lock()
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
-		return nil, errors.New("camcast: network closed")
-	}
-	g.mu.Lock()
-	if _, ok := g.members[addr]; ok {
-		g.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrMemberExists, addr)
-	}
-	g.mu.Unlock()
-
-	cfg.Counters = g.counters
-	m := &Member{group: g.name, bus: n.bus, reg: n.reg}
-	m.detach = func() { g.remove(addr, m) }
-	if err := m.start(g.flow, addr, via, cfg, opts); err != nil {
-		return nil, err
-	}
-
-	g.mu.Lock()
-	if _, ok := g.members[addr]; ok {
-		g.mu.Unlock()
-		m.stop()
-		return nil, fmt.Errorf("%w: %s", ErrMemberExists, addr)
-	}
-	g.members[addr] = m
-	g.mu.Unlock()
-	return m, nil
-}
-
-// Member returns the group's live in-process member at addr.
+// Member returns the group's live member at addr.
 func (g *Group) Member(addr string) (*Member, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -161,8 +123,7 @@ func (g *Group) Member(addr string) (*Member, error) {
 	return m, nil
 }
 
-// Members returns the addresses of the group's live in-process members,
-// unordered.
+// Members returns the addresses of the group's live members, unordered.
 func (g *Group) Members() []string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -220,21 +181,9 @@ func (g *Group) Settle(rounds int) {
 	}
 }
 
-// Neighbors reports every live in-process member's ring neighborhood,
-// sorted by ring identifier.
-func (g *Group) Neighbors() []NeighborInfo {
-	members := g.snapshot()
-	out := make([]NeighborInfo, 0, len(members))
-	for _, m := range members {
-		ni := m.Neighbors()
-		if g.gid != transport.DefaultGroup {
-			ni.Group = g.name
-		}
-		out = append(out, ni)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// Neighbors reports every live member's ring neighborhood, sorted by ring
+// identifier.
+func (g *Group) Neighbors() []NeighborInfo { return neighborsOf(g.snapshot()) }
 
 func (g *Group) snapshot() []*Member {
 	g.mu.Lock()
@@ -267,32 +216,33 @@ func (n *Network) CreateGroup(name string, opts GroupOptions) (*Group, error) {
 	}
 	gid := transport.GroupLabel(name)
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
+	closed := n.closed
+	n.mu.Unlock()
+	if closed {
 		return nil, errors.New("camcast: network closed")
 	}
+	n.gmu.Lock()
+	defer n.gmu.Unlock()
 	if _, ok := n.groups[name]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrGroupExists, name)
 	}
-	if other, ok := n.flows[gid]; ok {
+	if other, ok := n.labels[gid]; ok {
 		return nil, fmt.Errorf("camcast: group %q collides with %q on flow label %d", name, other.name, gid)
 	}
-	g := n.newGroup(name, gid, opts.Token)
+	g := newGroup(n.host, name, gid, opts.Token)
 	n.groups[name] = g
-	n.flows[gid] = g
+	n.labels[gid] = g
 	return g, nil
 }
 
-// newGroup builds a group and its transport flow; callers hold n.mu (or
-// are NewNetwork, before the Network escapes).
-func (n *Network) newGroup(name string, gid uint64, token string) *Group {
-	n.tr.LabelGroup(gid, name)
+// newGroup builds a group whose Create and Join add members to home (nil
+// for the private group of a ListenTCP member).
+func newGroup(home *host, name string, gid uint64, token string) *Group {
 	return &Group{
-		net:      n,
+		home:     home,
 		name:     name,
 		gid:      gid,
 		token:    token,
-		flow:     n.tr.Flow(gid),
 		counters: &metrics.Counters{},
 		members:  make(map[string]*Member),
 	}
@@ -302,9 +252,9 @@ func (n *Network) newGroup(name string, gid uint64, token string) *Group {
 // requires its token; the comparison is constant-time. Joining the group
 // as a member is then Group.Join (or Group.ListenOn for TCP members).
 func (n *Network) JoinGroup(name, token string) (*Group, error) {
-	n.mu.Lock()
+	n.gmu.Lock()
 	g, ok := n.groups[name]
-	n.mu.Unlock()
+	n.gmu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchGroup, name)
 	}
@@ -321,12 +271,7 @@ func (n *Network) DefaultGroup() *Group { return n.def }
 // Groups returns a control-plane summary of every group, sorted by name.
 // Summaries omit member lists; use JoinGroup + Describe for those.
 func (n *Network) Groups() []GroupInfo {
-	n.mu.Lock()
-	groups := make([]*Group, 0, len(n.groups))
-	for _, g := range n.groups {
-		groups = append(groups, g)
-	}
-	n.mu.Unlock()
+	groups := n.groupSnapshot()
 	out := make([]GroupInfo, 0, len(groups))
 	for _, g := range groups {
 		out = append(out, g.summary())

@@ -336,14 +336,14 @@ func TestTCPMemberObservability(t *testing.T) {
 	}
 
 	selfA := new(string)
-	a, err := ListenTCP("127.0.0.1:0", "", opts(selfA, true))
+	a, err := ListenTCP("127.0.0.1:0", "", opts(selfA, true), HostOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
 	*selfA = a.Addr()
 	selfB := new(string)
-	b, err := ListenTCP("127.0.0.1:0", a.Addr(), opts(selfB, false))
+	b, err := ListenTCP("127.0.0.1:0", a.Addr(), opts(selfB, false), HostOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,11 @@ func TestBurstLossDuringRepairTCP(t *testing.T) {
 			Stabilize:      -1,
 			Fix:            -1,
 			ForwardTimeout: 2 * time.Second,
-			RPCTimeout:     2 * time.Second,
+		}
+	}
+	listen := func(via string) func(camcast.Options) (*camcast.Member, error) {
+		return func(o camcast.Options) (*camcast.Member, error) {
+			return camcast.ListenTCP("127.0.0.1:0", via, o, camcast.HostOptions{RPCTimeout: 2 * time.Second})
 		}
 	}
 
@@ -91,7 +95,7 @@ func TestBurstLossDuringRepairTCP(t *testing.T) {
 		if i > 0 {
 			via = sessions[0].Member().Addr()
 		}
-		sessions[i], err = NewTCP("127.0.0.1:0", via, opts(), rec.config(fmt.Sprintf("t%d", i), 64))
+		sessions[i], err = New(listen(via), opts(), rec.config(fmt.Sprintf("t%d", i), 64))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,8 @@
 // source has already evicted a message from its buffer — or has left the
 // group — the gap is reported and skipped so the stream never stalls.
 //
-//	sess, _ := reliable.New(net, "alice", "", camcast.Options{Capacity: 6}, reliable.Config{
+//	create := func(o camcast.Options) (*camcast.Member, error) { return net.Create("alice", o) }
+//	sess, _ := reliable.New(create, camcast.Options{Capacity: 6}, reliable.Config{
 //	    OnData: func(src string, seq uint64, data []byte) { ... }, // in order per source
 //	    OnGap:  func(src string, seq uint64) { ... },              // permanently lost
 //	})
@@ -57,8 +58,7 @@ func (c *Config) applyDefaults() {
 var ErrTakenCallbacks = errors.New("reliable: Options.OnDeliver/OnRequest are managed by the session")
 
 // Session is one group member with reliability state. The member under it
-// is in-process (New) or socket-backed (NewTCP); the reliability protocol
-// is transport-agnostic.
+// may run on any transport; the reliability protocol is transport-agnostic.
 type Session struct {
 	member *camcast.Member
 	cfg    Config
@@ -85,48 +85,16 @@ type event struct {
 	gap     bool
 }
 
-// New creates a member at addr (bootstrapping a fresh group when via is
-// empty, joining through via otherwise) wrapped in a reliable session. The
-// session owns opts.OnDeliver and opts.OnRequest.
-func New(net *camcast.Network, addr, via string, opts camcast.Options, cfg Config) (*Session, error) {
-	s, err := newSession(&opts, cfg)
-	if err != nil {
-		return nil, err
-	}
-	var m *camcast.Member
-	if via == "" {
-		m, err = net.Create(addr, opts)
-	} else {
-		m, err = net.Join(addr, via, opts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.member = m
-	return s, nil
-}
-
-// NewTCP starts a member on its own real TCP socket at listenAddr (see
-// camcast.ListenTCP) wrapped in a reliable session, bootstrapping a fresh
-// group when via is empty and joining through via otherwise. The session
-// owns opts.OnDeliver and opts.OnRequest. Close the underlying member
+// New starts a member with start, wrapped in a reliable session. The
+// session owns the delivery hooks: opts must leave OnDeliver and OnRequest
+// unset, and start receives opts with the session's installed. start may
+// place the member on any transport, for example
+//
+//	func(o camcast.Options) (*camcast.Member, error) { return net.Join("bob", "alice", o) }
+//
+// or a camcast.ListenTCP or Group.ListenOn call. Close the member
 // (Member().Close()) when done.
-func NewTCP(listenAddr, via string, opts camcast.Options, cfg Config) (*Session, error) {
-	s, err := newSession(&opts, cfg)
-	if err != nil {
-		return nil, err
-	}
-	m, err := camcast.ListenTCP(listenAddr, via, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.member = m
-	return s, nil
-}
-
-// newSession builds the session state and claims the delivery hooks in
-// opts, failing if the caller already took them.
-func newSession(opts *camcast.Options, cfg Config) (*Session, error) {
+func New(start func(camcast.Options) (*camcast.Member, error), opts camcast.Options, cfg Config) (*Session, error) {
 	if opts.OnDeliver != nil || opts.OnRequest != nil {
 		return nil, ErrTakenCallbacks
 	}
@@ -139,6 +107,10 @@ func newSession(opts *camcast.Options, cfg Config) (*Session, error) {
 	}
 	opts.OnDeliver = s.onDeliver
 	opts.OnRequest = s.onRepairRequest
+	var err error
+	if s.member, err = start(opts); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 

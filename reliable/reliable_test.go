@@ -53,6 +53,17 @@ func (r *recorder) gapList(receiver string) []uint64 {
 	return out
 }
 
+// onNet starts the member at addr on net: Create when via is empty, Join
+// through via otherwise.
+func onNet(net *camcast.Network, addr, via string) func(camcast.Options) (*camcast.Member, error) {
+	return func(o camcast.Options) (*camcast.Member, error) {
+		if via == "" {
+			return net.Create(addr, o)
+		}
+		return net.Join(addr, via, o)
+	}
+}
+
 // buildSessions creates a converged group of n reliable sessions.
 func buildSessions(t *testing.T, rec *recorder, n, window int) (*camcast.Network, []*Session) {
 	t.Helper()
@@ -63,13 +74,13 @@ func buildSessions(t *testing.T, rec *recorder, n, window int) (*camcast.Network
 	}
 	sessions := make([]*Session, n)
 	var err error
-	sessions[0], err = New(net, "m0", "", opts(), rec.config("m0", window))
+	sessions[0], err = New(onNet(net, "m0", ""), opts(), rec.config("m0", window))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < n; i++ {
 		addr := fmt.Sprintf("m%d", i)
-		sessions[i], err = New(net, addr, "m0", opts(), rec.config(addr, window))
+		sessions[i], err = New(onNet(net, addr, "m0"), opts(), rec.config(addr, window))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,11 +222,11 @@ func TestMultipleConcurrentSources(t *testing.T) {
 func TestNewRejectsTakenCallbacks(t *testing.T) {
 	net := camcast.NewNetwork()
 	defer net.Close()
-	_, err := New(net, "a", "", camcast.Options{OnDeliver: func(camcast.Message) {}}, Config{})
+	_, err := New(onNet(net, "a", ""), camcast.Options{OnDeliver: func(camcast.Message) {}}, Config{})
 	if !errors.Is(err, ErrTakenCallbacks) {
 		t.Fatalf("err = %v", err)
 	}
-	_, err = New(net, "a", "", camcast.Options{
+	_, err = New(onNet(net, "a", ""), camcast.Options{
 		OnRequest: func(string, []byte) ([]byte, error) { return nil, nil },
 	}, Config{})
 	if !errors.Is(err, ErrTakenCallbacks) {
@@ -226,7 +237,7 @@ func TestNewRejectsTakenCallbacks(t *testing.T) {
 func TestNewPropagatesJoinErrors(t *testing.T) {
 	net := camcast.NewNetwork()
 	defer net.Close()
-	if _, err := New(net, "a", "ghost", camcast.Options{Stabilize: -1, Fix: -1}, Config{}); err == nil {
+	if _, err := New(onNet(net, "a", "ghost"), camcast.Options{Stabilize: -1, Fix: -1}, Config{}); err == nil {
 		t.Fatal("join through unreachable bootstrap should fail")
 	}
 }

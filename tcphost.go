@@ -1,12 +1,8 @@
 package camcast
 
 import (
-	"errors"
-	"fmt"
-	"maps"
 	"net/http"
 	"sort"
-	"sync"
 	"time"
 
 	"camcast/internal/obsv"
@@ -44,13 +40,8 @@ type HostOptions struct {
 // Create with NewTCPHost, add members with Group.ListenOn, and Close when
 // done. ListenTCP remains the single-member convenience wrapper.
 type TCPHost struct {
-	tr  *transport.TCP
-	bus *obsv.Bus
-	reg *obsv.Registry
-
-	hmu     sync.Mutex         // protects members/closed; "hmu" to keep stack traces distinct from Group.mu
-	members map[uint64]*Member // by group flow label
-	closed  bool
+	*host
+	tr *transport.TCP
 }
 
 // NewTCPHost starts a TCP transport listening at listenAddr (use
@@ -70,14 +61,7 @@ func NewTCPHost(listenAddr string, opts HostOptions) (*TCPHost, error) {
 	if opts.GroupBacklogLimit > 0 {
 		tr.GroupBacklogLimit = opts.GroupBacklogLimit
 	}
-	h := &TCPHost{
-		tr:      tr,
-		bus:     obsv.NewBus(),
-		reg:     obsv.NewRegistry(),
-		members: make(map[uint64]*Member),
-	}
-	tr.Instrument(h.reg)
-	return h, nil
+	return &TCPHost{host: newHost(tr), tr: tr}, nil
 }
 
 // Addr returns the host's bound "host:port" address. Every member of the
@@ -98,11 +82,10 @@ func (h *TCPHost) Metrics() MetricsSnapshot { return h.reg.Snapshot() }
 // Groups returns the names of the groups with a member on this host,
 // sorted.
 func (h *TCPHost) Groups() []string {
-	h.hmu.Lock()
-	defer h.hmu.Unlock()
-	out := make([]string, 0, len(h.members))
-	for _, m := range h.members {
-		out = append(out, m.group)
+	members := h.snapshot()
+	out := make([]string, 0, len(members))
+	for _, m := range members {
+		out = append(out, m.group.name)
 	}
 	sort.Strings(out)
 	return out
@@ -113,137 +96,43 @@ func (h *TCPHost) Groups() []string {
 // every member, ready to mount on an HTTP server.
 func (h *TCPHost) DebugHandler() http.Handler {
 	return obsv.Debug{
-		Registry: h.reg,
-		Bus:      h.bus,
-		Neighbors: func() any {
-			h.hmu.Lock()
-			members := maps.Clone(h.members)
-			h.hmu.Unlock()
-			out := make([]NeighborInfo, 0, len(members))
-			for gid, m := range members {
-				ni := m.Neighbors()
-				if gid != transport.DefaultGroup {
-					ni.Group = m.group
-				}
-				out = append(out, ni)
-			}
-			sort.Slice(out, func(i, j int) bool { return out[i].Group < out[j].Group })
-			return out
-		},
+		Registry:  h.reg,
+		Bus:       h.bus,
+		Neighbors: func() any { return neighborsOf(h.snapshot()) },
 	}.Handler()
 }
 
 // Close stops every hosted member abruptly (a crash, as peers see it) and
 // releases the transport. Safe to call multiple times.
 func (h *TCPHost) Close() {
-	h.hmu.Lock()
-	if h.closed {
-		h.hmu.Unlock()
-		return
-	}
-	h.closed = true
-	members := h.members
-	h.members = make(map[uint64]*Member)
-	h.hmu.Unlock()
-	for _, m := range members {
-		m.stop()
-	}
+	h.close()
 	h.tr.Close()
-}
-
-// remove drops m from the host unless another member of its group has
-// since taken its place.
-func (h *TCPHost) remove(gid uint64, m *Member) {
-	h.hmu.Lock()
-	defer h.hmu.Unlock()
-	if h.members[gid] == m {
-		delete(h.members, gid)
-	}
-}
-
-// listenOn starts a member of the given group on this host. Transport
-// settings in opts (DialTimeout, RPCTimeout, GroupBacklogLimit) are ignored
-// here — they were fixed when the host was built. A member that owns the
-// host closes it when it leaves or closes.
-func (h *TCPHost) listenOn(gid uint64, group, via string, opts Options, owns bool) (*Member, error) {
-	cfg, err := buildConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	h.hmu.Lock()
-	if h.closed {
-		h.hmu.Unlock()
-		return nil, errors.New("camcast: host closed")
-	}
-	if _, ok := h.members[gid]; ok {
-		h.hmu.Unlock()
-		return nil, fmt.Errorf("%w: host %s already carries a member of group %q", ErrMemberExists, h.tr.Addr(), group)
-	}
-	h.hmu.Unlock()
-
-	h.tr.LabelGroup(gid, group)
-	m := &Member{group: group, host: h, bus: h.bus, reg: h.reg}
-	m.detach = func() {
-		h.remove(gid, m)
-		if owns {
-			h.Close()
-		}
-	}
-	if err := m.start(h.tr.Flow(gid), h.tr.Addr(), via, cfg, opts); err != nil {
-		return nil, err
-	}
-
-	h.hmu.Lock()
-	if h.closed {
-		h.hmu.Unlock()
-		m.stop()
-		return nil, errors.New("camcast: host closed")
-	}
-	if _, ok := h.members[gid]; ok {
-		h.hmu.Unlock()
-		m.stop()
-		return nil, fmt.Errorf("%w: host %s already carries a member of group %q", ErrMemberExists, h.tr.Addr(), group)
-	}
-	h.members[gid] = m
-	h.hmu.Unlock()
-	return m, nil
 }
 
 // ListenOn starts a member of this group on an existing TCPHost,
 // multiplexed with the host's other members over the host's listener and
 // pooled connections. With via == "" the member bootstraps the group's
 // overlay; otherwise it joins through the member of the same group
-// listening at via. A host carries at most one member per group.
+// listening at via. The member's address is the host's, so a host carries
+// at most one member per group.
 //
 // The member's traffic is tagged with the group's flow label on the
 // wire; group identity across processes is the label alone, derived from
 // the group name, and the group token is not verified by peers (see
 // DESIGN.md §13).
 func (g *Group) ListenOn(h *TCPHost, via string, opts Options) (*Member, error) {
-	return h.listenOn(g.gid, g.name, via, opts, false)
+	return g.add(&Member{host: h.host, tcp: h}, h.Addr(), via, opts)
 }
 
-// Listen starts a member of this group on its own dedicated TCPHost at
-// listenAddr — NewTCPHost plus ListenOn, with the host's transport
-// settings taken from opts and the host closed when the member is. Use
+// Listen starts a member of this group on its own TCPHost at listenAddr,
+// built from hopts and closed when the member leaves or closes. Use
 // NewTCPHost + ListenOn to share one host across groups.
-func (g *Group) Listen(listenAddr, via string, opts Options) (*Member, error) {
-	return listenOwned(listenAddr, g.gid, g.name, via, opts)
-}
-
-// listenOwned starts a member of the given group on a new TCPHost at
-// listenAddr, built from the transport-level member options, which the
-// member closes when it leaves or closes (ListenTCP, Group.Listen).
-func listenOwned(listenAddr string, gid uint64, group, via string, opts Options) (*Member, error) {
-	h, err := NewTCPHost(listenAddr, HostOptions{
-		DialTimeout:       opts.DialTimeout,
-		RPCTimeout:        opts.RPCTimeout,
-		GroupBacklogLimit: opts.GroupBacklogLimit,
-	})
+func (g *Group) Listen(listenAddr, via string, opts Options, hopts HostOptions) (*Member, error) {
+	h, err := NewTCPHost(listenAddr, hopts)
 	if err != nil {
 		return nil, err
 	}
-	m, err := h.listenOn(gid, group, via, opts, true)
+	m, err := g.add(&Member{host: h.host, tcp: h, owns: true}, h.Addr(), via, opts)
 	if err != nil {
 		h.Close()
 		return nil, err
@@ -254,14 +143,13 @@ func listenOwned(listenAddr string, gid uint64, group, via string, opts Options)
 // ListenTCP starts a member on a real TCP socket at listenAddr (use
 // "127.0.0.1:0" to pick a free port). With via == "" the member bootstraps
 // a fresh group; otherwise it joins the group through the existing member
-// listening at via (a "host:port" string). Options.DialTimeout and
-// RPCTimeout tune the transport's connection and per-RPC deadlines.
+// listening at via (a "host:port" string). hopts tunes the transport's
+// connection and per-RPC deadlines.
 //
-// ListenTCP is a thin wrapper over NewTCPHost plus a default-group
-// ListenOn: the member runs in the default group (flow label 0) on a
-// dedicated host that is closed when the member is. Multi-group
-// processes create one TCPHost and add a member per group with
+// The member runs in the default group (flow label 0), tracked by a group
+// of its own, on a dedicated host that is closed when the member is.
+// Multi-group processes create one TCPHost and add a member per group with
 // Group.ListenOn instead.
-func ListenTCP(listenAddr, via string, opts Options) (*Member, error) {
-	return listenOwned(listenAddr, transport.DefaultGroup, "default", via, opts)
+func ListenTCP(listenAddr, via string, opts Options, hopts HostOptions) (*Member, error) {
+	return newGroup(nil, "default", transport.DefaultGroup, "").Listen(listenAddr, via, opts, hopts)
 }

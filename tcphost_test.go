@@ -119,10 +119,8 @@ func TestTCPHostSharedConnection(t *testing.T) {
 
 func memberOf(t *testing.T, h *TCPHost, group string) *Member {
 	t.Helper()
-	h.hmu.Lock()
-	defer h.hmu.Unlock()
-	for _, m := range h.members {
-		if m.group == group {
+	for _, m := range h.snapshot() {
+		if m.Group() == group {
 			return m
 		}
 	}
