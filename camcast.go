@@ -218,9 +218,11 @@ type Options struct {
 	// Member.RequestContext — the escape hatch layers like reliable
 	// delivery use for retransmission. nil rejects such requests.
 	OnRequest func(from string, payload []byte) ([]byte, error)
-	// Stabilize and Fix set the background maintenance cadence. Zero means
-	// the default (20ms) on either transport. Negative disables background
-	// maintenance; drive it explicitly with Group.Settle or Network.Settle.
+	// Stabilize and Fix set the member's cadence on its host's maintenance
+	// scheduler, which also sweeps the member's duplicate-suppression
+	// window once a minute. Zero means the default (20ms) on either
+	// transport. Negative runs no background round of that kind; drive it
+	// explicitly with Group.Settle or Network.Settle.
 	Stabilize time.Duration
 	Fix       time.Duration
 
@@ -450,9 +452,11 @@ func (m *Member) start(tr runtime.Transport, addr, via string, cfg runtime.Confi
 	return err
 }
 
-// stop halts the node and detaches the Observer without detaching the
-// member from its group or host.
+// stop halts the node, once its maintenance round in flight is done, and
+// detaches the Observer without detaching the member from its group or
+// host.
 func (m *Member) stop() {
+	m.host.sched.Remove(m.node)
 	m.node.Stop()
 	m.stopObserver()
 }
@@ -537,6 +541,7 @@ func (m *Member) FixAll() { m.node.FixAll() }
 // Leave departs gracefully, telling ring neighbors to splice the member
 // out, and detaches it from its group and host.
 func (m *Member) Leave() error {
+	m.host.sched.Remove(m.node)
 	err := m.node.Leave()
 	m.stopObserver()
 	m.detach()
@@ -586,19 +591,12 @@ func buildConfig(opts Options) (runtime.Config, error) {
 		return runtime.Config{}, fmt.Errorf("camcast: capacity %d must be >= 2", capacity)
 	}
 
-	stabilize := opts.Stabilize
+	stabilize, fix := opts.Stabilize, opts.Fix
 	if stabilize == 0 {
 		stabilize = defaultStabilize
 	}
-	if stabilize < 0 {
-		stabilize = 0 // disabled; drive with Network.Settle
-	}
-	fix := opts.Fix
 	if fix == 0 {
 		fix = defaultFix
-	}
-	if fix < 0 {
-		fix = 0
 	}
 
 	return runtime.Config{

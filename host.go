@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"camcast/internal/obsv"
+	"camcast/internal/runtime"
 	"camcast/internal/transport"
 )
 
@@ -28,13 +29,14 @@ type endpoint struct {
 
 // host is one transport and the members running on it, the part Network
 // and TCPHost share: the transport's group flows, the event bus and
-// metrics registry its members report into, and the members Close stops.
-// Each member is also in its group's table; Group.add and Member.detach
-// keep the two in step.
+// metrics registry its members report into, the scheduler that runs their
+// maintenance, and the members Close stops. Each member is also in its
+// group's table; Group.add and Member.detach keep the two in step.
 type host struct {
 	flows flowSource
 	bus   *obsv.Bus
 	reg   *obsv.Registry
+	sched *runtime.Scheduler
 
 	mu       sync.Mutex // protects members/starting/closed; taken before Group.mu
 	members  map[endpoint]*Member
@@ -51,18 +53,22 @@ func newHost(flows flowSource) *host {
 		starting: make(map[endpoint]struct{}),
 	}
 	flows.Instrument(h.reg)
+	// A wall-clock shard only dispatches rounds, each on a goroutine of
+	// its own, so one shard serves a host of any size.
+	h.sched = runtime.NewScheduler(runtime.SchedulerConfig{Shards: 1, Metrics: h.reg})
+	h.sched.Start()
 	return h
 }
 
 var errHostClosed = errors.New("camcast: host closed")
 
-// add starts m, a member of g on m.host at addr, and enters it in both the
-// group's table and the host's set. With via == "" the member bootstraps
-// the group's overlay; otherwise it joins through via. The endpoint is
-// held while the node starts, so concurrent adds at one address cannot
-// take over each other's transport registration. The checks run again
-// once the node has started, so a member never outlives a Close that ran
-// meanwhile.
+// add starts m, a member of g on m.host at addr, enters it in both the
+// group's table and the host's set, and hands it to the host's scheduler.
+// With via == "" the member bootstraps the group's overlay; otherwise it
+// joins through via. The endpoint is held while the node starts, so
+// concurrent adds at one address cannot take over each other's transport
+// registration. The checks run again once the node has started, so a
+// member never outlives a Close that ran meanwhile.
 func (g *Group) add(m *Member, addr, via string, opts Options) (*Member, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
@@ -93,6 +99,7 @@ func (g *Group) add(m *Member, addr, via string, opts Options) (*Member, error) 
 		g.mu.Lock()
 		g.members[addr] = m
 		g.mu.Unlock()
+		h.sched.Add(m.node) // under h.mu, so close cannot miss it
 	}
 	h.mu.Unlock()
 	if err != nil {
@@ -147,9 +154,10 @@ func (h *host) snapshot() []*Member {
 	return out
 }
 
-// close stops every member abruptly and removes it from its group. An add
-// racing it either has its member stopped here or fails its final check,
-// and no add succeeds afterwards. Safe to call multiple times.
+// close stops every member abruptly, removes it from its group, and stops
+// the scheduler. An add racing it either has its member stopped here or
+// fails its final check, and no add succeeds afterwards. Safe to call
+// multiple times.
 func (h *host) close() {
 	h.mu.Lock()
 	if h.closed {
@@ -164,6 +172,7 @@ func (h *host) close() {
 		m.stop()
 		m.group.remove(m.Addr(), m)
 	}
+	h.sched.Stop()
 }
 
 // neighborsOf reports each member's ring neighbourhood, sorted by ring

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	goruntime "runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -250,5 +251,71 @@ func TestMemberRegistryConsistency(t *testing.T) {
 		if !inHost(c.h, c.m) {
 			t.Errorf("re-added member at %s lost its host entry to the old member's Close", c.m.Addr())
 		}
+	}
+}
+
+// TestJoinThroughLoneSurvivor checks that a member whose every successor
+// has crashed answers a join itself. With no maintenance running, no
+// stabilize round has dropped the dead pointers: the join's own lookup
+// must.
+func TestJoinThroughLoneSurvivor(t *testing.T) {
+	net := NewNetwork()
+	defer net.Close()
+	g, hosts, tcp := tcpGroupOf(t, net, "survivor", 3)
+	tcp[1].Close()
+	tcp[2].Close()
+	h, err := NewTCPHost("127.0.0.1:0", HostOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	m, err := g.ListenOn(h, hosts[0].Addr(), Options{Capacity: 4, Stabilize: -1, Fix: -1})
+	if err != nil {
+		t.Fatalf("join through the lone survivor: %v", err)
+	}
+	g.Settle(3)
+	for _, c := range [][2]*Member{{tcp[0], m}, {m, tcp[0]}} {
+		if succs := c[0].Neighbors().Successors; len(succs) == 0 || succs[0] != c[1].Addr() {
+			t.Errorf("%s: successors %v, want %s first", c[0].Addr(), succs, c[1].Addr())
+		}
+	}
+}
+
+// TestCloseEndsMaintenance checks that a host's maintenance leaves nothing
+// running: after Network.Close and TCPHost.Close the goroutine count is
+// back at its baseline.
+func TestCloseEndsMaintenance(t *testing.T) {
+	base := goruntime.NumGoroutine()
+	net := NewNetwork()
+	if _, err := net.Create("m0", Options{Capacity: 4}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 20; i++ {
+		if _, err := net.Join(fmt.Sprintf("m%d", i), "m0", Options{Capacity: 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, err := NewTCPHost("127.0.0.1:0", HostOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"t1", "t2"} {
+		g, err := net.CreateGroup(name, GroupOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.ListenOn(h, "", Options{Capacity: 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(100 * time.Millisecond) // several rounds at the default cadence
+	h.Close()
+	net.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for goruntime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := goruntime.NumGoroutine(); got > base {
+		t.Fatalf("%d goroutines after Close, %d before the hosts started", got, base)
 	}
 }

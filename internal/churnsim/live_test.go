@@ -115,6 +115,7 @@ func TestRunLiveTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("ring correctness %.3f, mean delivery %.3f", res.RingCorrect, res.MeanDelivery)
 	if res.RingCorrect < 0.9 {
 		t.Fatalf("ring correctness %.3f", res.RingCorrect)
 	}

@@ -34,9 +34,9 @@ type BulkOptions struct {
 // node set given IS the whole group — every node must be fresh (never
 // started, never stopped) and no other member may already exist, because
 // installed state is derived purely from this snapshot. After BulkInstall
-// returns, every node is started, registered on its network, and running
-// its maintenance loops (if configured with per-node cadences); joins and
-// leaves from that point use the normal incremental paths.
+// returns, every node is started and registered on its network, ready for
+// Scheduler.Add; joins and leaves from that point use the normal
+// incremental paths.
 func BulkInstall(nodes []*Node, opts BulkOptions) error {
 	m := len(nodes)
 	if m == 0 {
@@ -131,11 +131,10 @@ func BulkInstall(nodes []*Node, opts BulkOptions) error {
 		wg.Wait()
 	}
 
-	// Register and start loops serially in sorted order so trace output —
-	// which replay compares byte for byte — is deterministic.
+	// Register serially in sorted order so trace output — which replay
+	// compares byte for byte — is deterministic.
 	for _, n := range sorted {
 		n.net.Register(n.self.Addr, n.handleRPC)
-		n.startLoops()
 		n.emitf(obsv.KindJoin, "bulk install id=%d", n.self.ID)
 	}
 	return nil

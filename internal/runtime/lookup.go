@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"camcast/internal/camkoorde"
 	"camcast/internal/ring"
@@ -377,11 +378,14 @@ func (n *Node) meanSuccGap() uint64 {
 // for the short sibling paths that succeed in practice.
 func (n *Node) greedyRoute(req findSuccReq, self NodeInfo, penalty int) (any, error) {
 	k := req.K
+	var failed []string // peers this lookup's calls could not reach
 	for _, cand := range n.routingCandidates(k) {
 		resp, err := n.call(cand.Addr, kindFindSucc, findSuccReq{K: k, Hops: req.Hops + 1 + penalty})
 		if err != nil {
 			if isLookupFailed(err) {
 				penalty += failedSubtreePenalty
+			} else if unreachable(err) {
+				failed = append(failed, cand.Addr)
 			}
 			continue
 		}
@@ -399,6 +403,41 @@ func (n *Node) greedyRoute(req findSuccReq, self NodeInfo, penalty int) (any, er
 				return r, nil
 			}
 		}
+		if unreachable(err) {
+			failed = append(failed, live.Addr)
+		}
+	}
+
+	// Every next hop failed. If this lookup's calls found every successor
+	// unreachable and the predecessor is gone as well, nothing the node
+	// knows of answers: drop the successors, as a stabilize round would (a
+	// ring pointer drops only on a failed call to its peer), and own k as
+	// a ring of one. While the predecessor lives the successors may only
+	// be cut off, and owning their arc would hide them from its senders.
+	if n.allUnreachable(failed) {
+		for _, s := range n.SuccessorList() {
+			n.dropSuccessor(s.Addr)
+		}
+		return findSuccResp{Node: self, Hops: req.Hops}, nil
 	}
 	return nil, fmt.Errorf("%w: no reachable next hop for %d from %s", ErrLookupFailed, k, self.Addr)
+}
+
+// allUnreachable reports whether every peer of the running node's ring
+// pointers is out of reach: each successor is self or in failed, and the
+// predecessor is unknown, self, in failed, or held suspect.
+func (n *Node) allUnreachable(failed []string) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.stopped {
+		return false
+	}
+	gone := func(addr string) bool { return addr == n.self.Addr || slices.Contains(failed, addr) }
+	for _, ref := range n.succRefs {
+		if !gone(n.arena.Resolve(ref).Addr) {
+			return false
+		}
+	}
+	pred, ok := n.predLocked()
+	return !ok || gone(pred.Addr) || n.isSuspect(pred.Addr)
 }

@@ -111,8 +111,10 @@ type Config struct {
 
 	// SuccListLen is the resilience successor-list length (default 4).
 	SuccListLen int
-	// StabilizeEvery / FixEvery enable background maintenance when > 0;
-	// when zero the owner drives maintenance explicitly with
+	// StabilizeEvery / FixEvery are the node's maintenance cadences once
+	// a Scheduler owns it (Scheduler.Add). Zero means the defaults, 500ms
+	// and 1s; negative runs no background round of that kind. A node no
+	// Scheduler owns runs no maintenance of its own: its owner calls
 	// StabilizeOnce/FixOnce (deterministic tests do this).
 	StabilizeEvery time.Duration
 	FixEvery       time.Duration
@@ -192,6 +194,12 @@ func (c *Config) applyDefaults() {
 	}
 	if c.SeenLimit == 0 {
 		c.SeenLimit = 4096
+	}
+	if c.StabilizeEvery == 0 {
+		c.StabilizeEvery = 500 * time.Millisecond
+	}
+	if c.FixEvery == 0 {
+		c.FixEvery = time.Second
 	}
 	switch {
 	case c.ForwardRetries == 0:
@@ -304,6 +312,7 @@ type Node struct {
 	cursor    int      // round-robin table refresh position
 	started   bool
 	stopped   bool
+	busy      uint8 // Scheduler rounds in flight, bit 1<<kind per kind
 	// predCheck is set when a notify was refused in favour of the current
 	// predecessor; the next stabilization round pings that predecessor.
 	predCheck bool
@@ -350,7 +359,9 @@ type Node struct {
 	memo    map[ring.ID]NodeInfo
 
 	stopCh chan struct{}
-	wg     sync.WaitGroup
+	// rounds counts the Scheduler rounds running on this node, which Stop
+	// waits for; busy flags their kinds.
+	rounds sync.WaitGroup
 }
 
 // noteTopologyChange starts a new topology generation, invalidating every
@@ -551,7 +562,6 @@ func (n *Node) Bootstrap() error {
 	n.mu.Unlock()
 
 	n.net.Register(n.self.Addr, n.handleRPC)
-	n.startLoops()
 	n.emitf(obsv.KindJoin, "bootstrap id=%d", n.self.ID)
 	return nil
 }
@@ -610,7 +620,6 @@ func (n *Node) Join(bootstrapAddr string) error {
 	n.net.Register(n.self.Addr, n.handleRPC)
 	// Integrate promptly rather than waiting a stabilization period.
 	n.StabilizeOnce()
-	n.startLoops()
 	n.obs.joinTime.ObserveDuration(time.Since(start))
 	n.emitf(obsv.KindJoin, "joined via %s, successor %s", bootstrapAddr, succ.Addr)
 	return nil
@@ -667,7 +676,8 @@ func (n *Node) Leave() error {
 }
 
 // Stop crashes the node: it vanishes from the network without telling
-// anyone. Safe to call multiple times.
+// anyone, and returns once its Scheduler round in flight, if any, has
+// finished. Safe to call multiple times.
 func (n *Node) Stop() {
 	n.mu.Lock()
 	if n.stopped {
@@ -695,7 +705,7 @@ func (n *Node) Stop() {
 	if started {
 		close(n.stopCh)
 	}
-	n.wg.Wait()
+	n.rounds.Wait()
 }
 
 // Stopped reports whether the node has stopped.
@@ -703,31 +713,6 @@ func (n *Node) Stopped() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.stopped
-}
-
-func (n *Node) startLoops() {
-	if n.cfg.StabilizeEvery > 0 {
-		n.wg.Add(1)
-		go n.loop(n.cfg.StabilizeEvery, n.StabilizeOnce)
-	}
-	if n.cfg.FixEvery > 0 {
-		n.wg.Add(1)
-		go n.loop(n.cfg.FixEvery, n.FixOnce)
-	}
-}
-
-func (n *Node) loop(every time.Duration, tick func()) {
-	defer n.wg.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			tick()
-		case <-n.stopCh:
-			return
-		}
-	}
 }
 
 // call issues one RPC from this node, bounded by Config.CallTimeout when

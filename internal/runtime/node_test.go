@@ -253,6 +253,9 @@ func TestConcurrentMulticastSources(t *testing.T) {
 	}
 }
 
+// TestBackgroundLoopsRunAndStop: members run background maintenance at
+// their own cadence on a wall-clock Scheduler, and Stop returns with no
+// round of theirs still running.
 func TestBackgroundLoopsRunAndStop(t *testing.T) {
 	net := transport.NewNetwork(1)
 	space := ring.MustSpace(16)
@@ -260,6 +263,8 @@ func TestBackgroundLoopsRunAndStop(t *testing.T) {
 		Space: space, Mode: ModeCAMChord, Capacity: 4,
 		StabilizeEvery: time.Millisecond, FixEvery: time.Millisecond,
 	}
+	sched := NewScheduler(SchedulerConfig{Shards: 1})
+	defer sched.Stop()
 	a, err := NewNode(net, "a", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -274,6 +279,9 @@ func TestBackgroundLoopsRunAndStop(t *testing.T) {
 	if err := b.Join("a"); err != nil {
 		t.Fatal(err)
 	}
+	sched.Add(a)
+	sched.Add(b)
+	sched.Start()
 
 	// Wait for background maintenance to link the two-node ring.
 	deadline := time.Now().Add(2 * time.Second)
@@ -288,9 +296,16 @@ func TestBackgroundLoopsRunAndStop(t *testing.T) {
 	if succ := a.SuccessorList(); len(succ) == 0 || succ[0].Addr != "b" {
 		t.Fatalf("background stabilization did not link ring: %v", succ)
 	}
-	// Stop must terminate the loops (and not hang).
-	b.Stop()
-	a.Stop()
+	// Stop must wait out the member's rounds (and not hang).
+	for _, n := range []*Node{b, a} {
+		n.Stop()
+		n.mu.Lock()
+		busy := n.busy
+		n.mu.Unlock()
+		if busy != 0 {
+			t.Fatalf("%s: round of kinds %b still running after Stop", n.Self().Addr, busy)
+		}
+	}
 }
 
 // TestJoinSkipsDeadSuccessor: a join whose lookup names a member that has

@@ -13,29 +13,34 @@ import (
 
 // Scheduler drives background maintenance — StabilizeOnce, FixOnce, and
 // seen-cache sweeps — for any number of members with a fixed pool of shard
-// event loops instead of two ticker goroutines per member. Members hash to
-// a shard by ring identifier; each shard keeps its members in
+// event loops; it is the only maintenance driver a member has. Members
+// hash to a shard by ring identifier; each shard keeps its members in
 // struct-of-arrays tables (parallel node/generation slices plus reusable
 // due-batch scratch) and their deadlines in one hierarchical timer wheel,
 // so a maintenance round walks contiguous slices and costs O(due members),
-// not O(timers in the runtime heap).
+// not O(timers in the runtime heap). Each member keeps its own cadence
+// (Config.StabilizeEvery, Config.FixEvery).
 //
 // Two clock modes share the code path:
 //
 //   - Wall time (default): Start launches one goroutine per shard, each
-//     sleeping toward its wheel's next deadline. Goroutine count is
-//     O(shards) no matter how many members are added.
+//     sleeping toward its wheel's next deadline. It only dispatches: every
+//     due stabilize or fix round runs on a goroutine of its own, at most
+//     one per (member, kind), and a round that comes due while the
+//     previous one still runs is skipped, as a time.Ticker drops ticks.
+//     One member's round blocked on a hung peer stalls no other member.
+//     Goroutine count is shards plus rounds in flight, no matter how many
+//     members are added.
 //   - Virtual time (SchedulerConfig.Clock is a *timing.Virtual): nothing
 //     runs on its own; the owner calls Advance(d), which moves the clock
-//     and executes everything that came due, shard by shard. One process
-//     can host 100k+ live members this way, and with Shards=1 execution
-//     order is fully deterministic.
+//     and executes everything that came due inline, shard by shard. One
+//     process can host 100k+ live members this way, and with Shards=1
+//     execution order is fully deterministic.
 //
-// Members driven by a Scheduler must be configured with StabilizeEvery
-// and FixEvery left zero (no per-node loops). Add members after Bootstrap
-// or Join succeeds; Remove them when they leave or crash. A member that
-// stops without being removed is harmless — its callbacks see the stopped
-// flag and return — but it stays billed to the shard until removed.
+// Add members after Bootstrap or Join succeeds; Remove them when they
+// leave or crash. A member that stops without being removed is harmless —
+// its rounds are skipped — but it stays billed to the shard until removed.
+// Node.Stop returns only once the member's round in flight has finished.
 type Scheduler struct {
 	cfg     SchedulerConfig
 	clock   timing.Clock
@@ -55,7 +60,8 @@ type Scheduler struct {
 	wg     sync.WaitGroup
 }
 
-// SchedulerConfig parameterizes a Scheduler.
+// SchedulerConfig parameterizes a Scheduler. Maintenance cadences are
+// per member (Config.StabilizeEvery, Config.FixEvery), not set here.
 type SchedulerConfig struct {
 	// Shards is the number of event loops (and member partitions).
 	// Default GOMAXPROCS. Use 1 for deterministic execution order.
@@ -64,18 +70,16 @@ type SchedulerConfig struct {
 	// runs shard goroutines, a *timing.Virtual hands control of time to
 	// the owner via Advance.
 	Clock timing.Clock
-	// StabilizeEvery / FixEvery are the per-member maintenance cadences
-	// (defaults 500ms and 1s). SeenSweepEvery rotates each member's
-	// duplicate-suppression generations (default 60s; negative disables).
-	StabilizeEvery time.Duration
-	FixEvery       time.Duration
+	// SeenSweepEvery rotates each member's duplicate-suppression
+	// generations (default 60s; negative disables).
 	SeenSweepEvery time.Duration
-	// WheelTick is the timer-wheel granularity (default 1ms).
-	WheelTick time.Duration
 	// Metrics optionally publishes scheduler gauges/counters
 	// (obsv.MetricSchedMembers, obsv.MetricSchedRounds); nil disables.
 	Metrics *obsv.Registry
 }
+
+// wheelTick is the timer-wheel granularity.
+const wheelTick = time.Millisecond
 
 func (c *SchedulerConfig) applyDefaults() {
 	if c.Shards <= 0 {
@@ -84,17 +88,8 @@ func (c *SchedulerConfig) applyDefaults() {
 	if c.Clock == nil {
 		c.Clock = timing.Wall()
 	}
-	if c.StabilizeEvery <= 0 {
-		c.StabilizeEvery = 500 * time.Millisecond
-	}
-	if c.FixEvery <= 0 {
-		c.FixEvery = time.Second
-	}
 	if c.SeenSweepEvery == 0 {
 		c.SeenSweepEvery = time.Minute
-	}
-	if c.WheelTick <= 0 {
-		c.WheelTick = time.Millisecond
 	}
 }
 
@@ -131,11 +126,16 @@ type schedShard struct {
 	// sooner than the one it sleeps toward.
 	kick chan struct{}
 
-	// Scratch for one round, reused to keep rounds allocation-free:
-	// due callbacks grouped by kind (stabilize runs before fix, like the
-	// lockstep maintain() loops), then the keys to rearm.
-	dueStab, dueFix, dueSweep []*Node
-	rearm                     []rearmEntry
+	// Scratch for one round, reused to keep rounds allocation-free: the
+	// due callbacks in firing order, then the keys to rearm. Only the
+	// shard's own runDue touches it, never two at once.
+	due   []dueEntry
+	rearm []rearmEntry
+}
+
+type dueEntry struct {
+	n    *Node
+	kind int
 }
 
 type rearmEntry struct {
@@ -162,7 +162,7 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	s.arenas = make([]*NodeArena, cfg.Shards)
 	for i := range s.shards {
 		s.shards[i] = &schedShard{
-			wheel: timing.NewWheel(cfg.WheelTick, now),
+			wheel: timing.NewWheel(wheelTick, now),
 			index: make(map[*Node]int32),
 			kick:  make(chan struct{}, 1),
 		}
@@ -218,8 +218,13 @@ func stagger(id uint64, kind int, every time.Duration) int64 {
 	return int64(h % uint64(every))
 }
 
-// Add takes over maintenance for n. Call once per member, after Bootstrap
-// or Join succeeded; duplicate Adds are ignored.
+// every is n's cadence for one maintenance kind; zero or less arms none.
+func (s *Scheduler) every(n *Node, kind int) time.Duration {
+	return [...]time.Duration{n.cfg.StabilizeEvery, n.cfg.FixEvery, s.cfg.SeenSweepEvery}[kind]
+}
+
+// Add takes over maintenance for n at n's own cadences. Call once per
+// member, after Bootstrap or Join succeeded; duplicate Adds are ignored.
 func (s *Scheduler) Add(n *Node) {
 	sh := s.shardFor(n)
 	now := s.clock.Now().UnixNano()
@@ -239,28 +244,21 @@ func (s *Scheduler) Add(n *Node) {
 		sh.gens = append(sh.gens, 0)
 	}
 	sh.index[n] = slot
-	gen := sh.gens[slot]
-	id := uint64(n.self.ID)
-	sh.wheel.Schedule(schedKey(schedKindStabilize, gen, slot),
-		now+stagger(id, schedKindStabilize, s.cfg.StabilizeEvery))
-	sh.wheel.Schedule(schedKey(schedKindFix, gen, slot),
-		now+stagger(id, schedKindFix, s.cfg.FixEvery))
-	if s.cfg.SeenSweepEvery > 0 {
-		sh.wheel.Schedule(schedKey(schedKindSweep, gen, slot),
-			now+stagger(id, schedKindSweep, s.cfg.SeenSweepEvery))
+	for kind := schedKindStabilize; kind <= schedKindSweep; kind++ {
+		if every := s.every(n, kind); every > 0 {
+			sh.wheel.Schedule(schedKey(kind, sh.gens[slot], slot),
+				now+stagger(uint64(n.self.ID), kind, every))
+		}
 	}
 	sh.mu.Unlock()
 
 	s.mu.Lock()
 	s.members++
-	started := s.started
 	s.mu.Unlock()
 	s.membersG.Add(1)
-	if started {
-		select {
-		case sh.kick <- struct{}{}:
-		default:
-		}
+	select {
+	case sh.kick <- struct{}{}:
+	default:
 	}
 }
 
@@ -291,64 +289,90 @@ func (s *Scheduler) Remove(n *Node) {
 // out, and returns the wheel's next deadline (0 = nothing pending).
 func (s *Scheduler) runDue(sh *schedShard, now int64) int64 {
 	sh.mu.Lock()
-	sh.dueStab = sh.dueStab[:0]
-	sh.dueFix = sh.dueFix[:0]
-	sh.dueSweep = sh.dueSweep[:0]
+	sh.due = sh.due[:0]
 	sh.rearm = sh.rearm[:0]
 	sh.wheel.Advance(now, func(key uint64) {
 		kind, gen, slot := schedKeyParts(key)
-		if int(slot) >= len(sh.nodes) || sh.gens[slot] != gen {
+		if int(slot) >= len(sh.nodes) || sh.gens[slot] != gen || sh.nodes[slot] == nil {
 			return // canceled: the slot moved on to another occupant
 		}
 		n := sh.nodes[slot]
-		if n == nil {
-			return
-		}
-		var every time.Duration
-		switch kind {
-		case schedKindStabilize:
-			sh.dueStab = append(sh.dueStab, n)
-			every = s.cfg.StabilizeEvery
-		case schedKindFix:
-			sh.dueFix = append(sh.dueFix, n)
-			every = s.cfg.FixEvery
-		case schedKindSweep:
-			sh.dueSweep = append(sh.dueSweep, n)
-			every = s.cfg.SeenSweepEvery
-		default:
-			return
-		}
+		sh.due = append(sh.due, dueEntry{n, kind})
 		// Rearm after Advance returns: the wheel must not be rescheduled
 		// from inside its own fire callback.
-		sh.rearm = append(sh.rearm, rearmEntry{key: key, at: now + int64(every)})
+		sh.rearm = append(sh.rearm, rearmEntry{key: key, at: now + int64(s.every(n, kind))})
 	})
 	for _, r := range sh.rearm {
 		sh.wheel.Schedule(r.key, r.at)
 	}
 	next, ok := sh.wheel.Next()
-	// Copy the batches out so callbacks run without the shard lock: a
-	// stabilize RPC can land back on a member of this same shard.
-	stab := append([]*Node(nil), sh.dueStab...)
-	fix := append([]*Node(nil), sh.dueFix...)
-	sweep := append([]*Node(nil), sh.dueSweep...)
+	// Callbacks run without the shard lock: a stabilize RPC can land back
+	// on a member of this same shard.
 	sh.mu.Unlock()
 
-	for _, n := range stab {
-		n.StabilizeOnce()
-	}
-	for _, n := range fix {
-		n.FixOnce()
-	}
-	for _, n := range sweep {
-		n.SweepSeen()
-	}
-	if c := len(stab) + len(fix) + len(sweep); c > 0 {
-		s.rounds.Add(uint64(c))
+	for kind := schedKindStabilize; kind <= schedKindSweep; kind++ {
+		for _, d := range sh.due {
+			if d.kind == kind {
+				s.run(d.n, kind)
+			}
+		}
 	}
 	if !ok {
 		return 0
 	}
 	return next
+}
+
+// run executes one due callback. A virtual clock runs a round inline, in
+// shard order; a wall clock hands it to a goroutine of its own, so a round
+// blocked on a hung peer holds up no other member. Sweeps never call out
+// and run inline in both modes.
+func (s *Scheduler) run(n *Node, kind int) {
+	if kind == schedKindSweep {
+		n.SweepSeen()
+		s.rounds.Add(1)
+		return
+	}
+	if !n.enterRound(kind) {
+		return
+	}
+	s.rounds.Add(1)
+	if s.virtual != nil {
+		n.round(kind)
+		return
+	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		n.round(kind)
+	}()
+}
+
+// enterRound claims n's round of one kind. It fails once n has stopped,
+// and while n's previous round of that kind still runs. Claims happen
+// under n.mu, before Stop sets stopped, so Stop's wait sees them all.
+func (n *Node) enterRound(kind int) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.stopped || n.busy&(1<<kind) != 0 {
+		return false
+	}
+	n.busy |= 1 << kind
+	n.rounds.Add(1)
+	return true
+}
+
+// round runs a round claimed by enterRound and releases the claim.
+func (n *Node) round(kind int) {
+	defer n.rounds.Done()
+	if kind == schedKindStabilize {
+		n.StabilizeOnce()
+	} else {
+		n.FixOnce()
+	}
+	n.mu.Lock()
+	n.busy &^= 1 << kind
+	n.mu.Unlock()
 }
 
 // Advance moves virtual time forward by d and runs everything that came

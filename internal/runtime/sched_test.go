@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
 	goruntime "runtime"
 	"sort"
@@ -22,16 +23,12 @@ func schedCluster(t *testing.T, n, shards int, bits uint) (*Scheduler, []*Node, 
 	net := transport.NewNetwork(1)
 	space := ring.MustSpace(bits)
 	clock := timing.NewVirtual(time.Unix(0, 0))
-	sched := NewScheduler(SchedulerConfig{
-		Shards:         shards,
-		Clock:          clock,
-		StabilizeEvery: 100 * time.Millisecond,
-		FixEvery:       100 * time.Millisecond,
-	})
+	sched := NewScheduler(SchedulerConfig{Shards: shards, Clock: clock})
 	nodes := make([]*Node, 0, n)
 	for i := 0; i < n; i++ {
 		node, err := NewNode(net, fmt.Sprintf("member-%d", i), Config{
 			Space: space, Mode: ModeCAMChord, Capacity: 4, Clock: clock,
+			StabilizeEvery: 100 * time.Millisecond, FixEvery: 100 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -168,15 +165,12 @@ func TestSchedulerWallModeMaintains(t *testing.T) {
 	base := goruntime.NumGoroutine()
 	net := transport.NewNetwork(1)
 	space := ring.MustSpace(16)
-	sched := NewScheduler(SchedulerConfig{
-		Shards:         2,
-		StabilizeEvery: 2 * time.Millisecond,
-		FixEvery:       5 * time.Millisecond,
-	})
+	sched := NewScheduler(SchedulerConfig{Shards: 2})
 	var nodes []*Node
 	for i := 0; i < 12; i++ {
 		node, err := NewNode(net, fmt.Sprintf("w-%d", i), Config{
 			Space: space, Mode: ModeCAMChord, Capacity: 4,
+			StabilizeEvery: 2 * time.Millisecond, FixEvery: 5 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -218,15 +212,14 @@ func TestSchedulerWallModeMaintains(t *testing.T) {
 func TestSchedulerRemoveCancelsMaintenance(t *testing.T) {
 	reg := obsv.NewRegistry()
 	clock := timing.NewVirtual(time.Unix(0, 0))
-	sched := NewScheduler(SchedulerConfig{
-		Shards: 1, Clock: clock, Metrics: reg,
-		StabilizeEvery: 100 * time.Millisecond,
-		FixEvery:       100 * time.Millisecond,
-		SeenSweepEvery: -1,
-	})
+	sched := NewScheduler(SchedulerConfig{Shards: 1, Clock: clock, Metrics: reg, SeenSweepEvery: -1})
 	net := transport.NewNetwork(1)
 	space := ring.MustSpace(16)
-	a, err := NewNode(net, "a", Config{Space: space, Mode: ModeCAMChord, Capacity: 4, Clock: clock})
+	cfg := Config{
+		Space: space, Mode: ModeCAMChord, Capacity: 4, Clock: clock,
+		StabilizeEvery: 100 * time.Millisecond, FixEvery: 100 * time.Millisecond,
+	}
+	a, err := NewNode(net, "a", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +242,7 @@ func TestSchedulerRemoveCancelsMaintenance(t *testing.T) {
 	}
 
 	// Reuse the freed slot: the new occupant must get fresh maintenance.
-	b, err := NewNode(net, "a2", Config{Space: space, Mode: ModeCAMChord, Capacity: 4, Clock: clock})
+	b, err := NewNode(net, "a2", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,15 +262,13 @@ func TestSchedulerRemoveCancelsMaintenance(t *testing.T) {
 // rotates members' dedup generations, draining idle caches to empty.
 func TestSchedulerSweepsSeenCaches(t *testing.T) {
 	clock := timing.NewVirtual(time.Unix(0, 0))
-	sched := NewScheduler(SchedulerConfig{
-		Shards: 1, Clock: clock,
-		StabilizeEvery: time.Hour, // isolate the sweep cadence
-		FixEvery:       time.Hour,
-		SeenSweepEvery: time.Second,
-	})
+	sched := NewScheduler(SchedulerConfig{Shards: 1, Clock: clock, SeenSweepEvery: time.Second})
 	net := transport.NewNetwork(1)
 	space := ring.MustSpace(16)
-	n, err := NewNode(net, "s", Config{Space: space, Mode: ModeCAMChord, Capacity: 4, Clock: clock})
+	n, err := NewNode(net, "s", Config{
+		Space: space, Mode: ModeCAMChord, Capacity: 4, Clock: clock,
+		StabilizeEvery: -1, FixEvery: -1, // isolate the sweep cadence
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,15 +296,12 @@ func TestSchedulerDeterministicSingleShard(t *testing.T) {
 		net := transport.NewNetwork(7)
 		space := ring.MustSpace(16)
 		clock := timing.NewVirtual(time.Unix(0, 0))
-		sched := NewScheduler(SchedulerConfig{
-			Shards: 1, Clock: clock,
-			StabilizeEvery: 100 * time.Millisecond,
-			FixEvery:       100 * time.Millisecond,
-		})
+		sched := NewScheduler(SchedulerConfig{Shards: 1, Clock: clock})
 		var nodes []*Node
 		for i := 0; i < 16; i++ {
 			node, err := NewNode(net, fmt.Sprintf("d-%d", i), Config{
 				Space: space, Mode: ModeCAMChord, Capacity: 4, Clock: clock,
+				StabilizeEvery: 100 * time.Millisecond, FixEvery: 100 * time.Millisecond,
 				ForwardParallel: -1, RetryBackoff: -1, ForwardTimeout: -1,
 			})
 			if err != nil {
@@ -375,5 +363,90 @@ func TestSchedulerDeterministicSingleShard(t *testing.T) {
 	}
 	if st1 != st2 {
 		t.Fatalf("counters diverged: %+v vs %+v", st1, st2)
+	}
+}
+
+// notifyCounter counts the notify calls a member makes: one per completed
+// stabilize round.
+type notifyCounter struct {
+	Transport
+	n atomic.Int64
+}
+
+func (c *notifyCounter) Call(ctx context.Context, from, to, kind string, payload any) (any, error) {
+	resp, err := c.Transport.Call(ctx, from, to, kind, payload)
+	if kind == kindNotify {
+		c.n.Add(1)
+	}
+	return resp, err
+}
+
+// TestSchedulerWallModeNoHeadOfLineBlocking: on a one-shard wall-clock
+// scheduler, a member whose stabilize call hangs on a black-holed link
+// must not hold up the other members' rounds, and Stop on that member
+// returns only once its hung round has ended.
+func TestSchedulerWallModeNoHeadOfLineBlocking(t *testing.T) {
+	net := transport.NewNetwork(1)
+	space := ring.MustSpace(16)
+	var nodes []*Node
+	var counts []*notifyCounter
+	for i := 0; i < 8; i++ {
+		c := &notifyCounter{Transport: net}
+		node, err := NewNode(c, fmt.Sprintf("h-%d", i), Config{
+			Space: space, Mode: ModeCAMChord, Capacity: 4,
+			StabilizeEvery: 5 * time.Millisecond, FixEvery: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			err = node.Bootstrap()
+		} else {
+			err = node.Join(nodes[0].Self().Addr)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, node)
+		counts = append(counts, c)
+	}
+	for r := 0; r < 8; r++ {
+		for _, n := range nodes {
+			n.StabilizeOnce()
+		}
+	}
+	victim, succ := nodes[0].Self().Addr, nodes[0].SuccessorList()[0].Addr
+	net.SetLinkDelay(victim, succ, 2*time.Second)
+
+	sched := NewScheduler(SchedulerConfig{Shards: 1})
+	defer sched.Stop()
+	for _, n := range nodes {
+		sched.Add(n)
+	}
+	before := make([]int64, len(nodes))
+	for i, c := range counts {
+		before[i] = c.n.Load()
+	}
+	sched.Start()
+	time.Sleep(300 * time.Millisecond)
+	for i := 1; i < len(nodes); i++ {
+		if got := counts[i].n.Load() - before[i]; got < 10 {
+			t.Errorf("%s completed %d stabilize rounds in 300ms while %s hung, want >= 10",
+				nodes[i].Self().Addr, got, victim)
+		}
+	}
+
+	// Lift the black hole so the victim's round ends after the call
+	// already in flight, then stop it mid-round.
+	net.SetLinkDelay(victim, succ, 0)
+	nodes[0].Stop()
+	nodes[0].mu.Lock()
+	busy := nodes[0].busy
+	nodes[0].mu.Unlock()
+	if busy != 0 {
+		t.Fatalf("Stop returned with the hung round still running (kinds %b)", busy)
+	}
+	for _, n := range nodes[1:] {
+		n.Stop()
 	}
 }

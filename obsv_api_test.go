@@ -414,3 +414,87 @@ func TestTCPMemberObservability(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestSchedulerMetricsOnDebugSurface checks that a host's maintenance
+// scheduler reports into the host's registry: /debug/camcast/stats counts
+// the live members of a Network and of a multi-group TCPHost in
+// sched.members, the gauge drops as members leave or close, and
+// sched.rounds grows while members run at the default cadence.
+func TestSchedulerMetricsOnDebugSurface(t *testing.T) {
+	stats := func(h http.Handler) MetricsSnapshot {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/camcast/stats", nil))
+		var body struct {
+			Metrics MetricsSnapshot `json:"metrics"`
+		}
+		if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		return body.Metrics
+	}
+	wantMembers := func(where string, h http.Handler, want int64) {
+		t.Helper()
+		if got := stats(h).Gauges[obsv.MetricSchedMembers]; got != want {
+			t.Errorf("%s: %s = %d, want %d", where, obsv.MetricSchedMembers, got, want)
+		}
+	}
+
+	net := NewNetwork()
+	defer net.Close()
+	first, err := net.Create("a", Options{Capacity: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := []*Member{first}
+	for _, addr := range []string{"b", "c"} {
+		m, err := net.Join(addr, "a", Options{Capacity: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem = append(mem, m)
+	}
+	wantMembers("network", net.DebugHandler(), 3)
+	rounds := func() uint64 { return stats(net.DebugHandler()).Counters[obsv.MetricSchedRounds] }
+	before := rounds()
+	for deadline := time.Now().Add(5 * time.Second); rounds() == before && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if rounds() == before {
+		t.Errorf("%s stayed at %d while members ran at the default cadence", obsv.MetricSchedRounds, before)
+	}
+	if err := mem[1].Leave(); err != nil {
+		t.Fatal(err)
+	}
+	wantMembers("network after Leave", net.DebugHandler(), 2)
+	mem[2].Close()
+	wantMembers("network after Close", net.DebugHandler(), 1)
+
+	h, err := NewTCPHost("127.0.0.1:0", HostOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	var tcp []*Member
+	for _, name := range []string{"g1", "g2", "g3"} {
+		g, err := net.CreateGroup(name, GroupOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := g.ListenOn(h, "", Options{Capacity: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tcp = append(tcp, m)
+	}
+	wantMembers("TCP host", h.DebugHandler(), 3)
+	wantMembers("network beside the TCP host", net.DebugHandler(), 1)
+	if err := tcp[0].Leave(); err != nil {
+		t.Fatal(err)
+	}
+	wantMembers("TCP host after Leave", h.DebugHandler(), 2)
+	tcp[1].Close()
+	wantMembers("TCP host after Close", h.DebugHandler(), 1)
+	h.Close()
+	wantMembers("TCP host after its Close", h.DebugHandler(), 0)
+}
