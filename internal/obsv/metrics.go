@@ -11,7 +11,9 @@ import (
 // Registry is a concurrency-safe set of named metrics: monotonic counters,
 // gauges, and fixed-bucket histograms. Instruments are created once
 // (get-or-create by name) and then updated lock-free with single atomic
-// operations; Snapshot walks the registry without stopping writers.
+// operations; Snapshot walks the registry without stopping writers. A
+// gauge may also be a function read at snapshot time (GaugeFunc), for a
+// value derived from other instruments that no hot path should store.
 //
 // A nil *Registry hands out nil instruments, and every instrument method
 // is nil-safe, so instrumented code needs no "is observability on?"
@@ -21,6 +23,7 @@ type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
+	gaugeFuncs map[string]func() int64
 	histograms map[string]*Histogram
 }
 
@@ -63,6 +66,25 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// GaugeFunc registers f as the read-time gauge name: Snapshot reports
+// f() under Gauges[name], and nothing is stored between snapshots. The
+// first function registered under a name stays; a later one is ignored,
+// so instruments sharing a registry must derive the same value. f runs
+// with the registry locked and must not call back into it. Nil-safe.
+func (r *Registry) GaugeFunc(name string, f func() int64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.gaugeFuncs == nil {
+		r.gaugeFuncs = make(map[string]func() int64)
+	}
+	if _, ok := r.gaugeFuncs[name]; !ok {
+		r.gaugeFuncs[name] = f
+	}
+}
+
 // Histogram returns the histogram registered under name, creating it with
 // the given bucket upper bounds if needed (bounds are sorted and must be
 // non-empty on first creation; later calls reuse the existing buckets).
@@ -83,8 +105,16 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// Counter is a monotonic uint64 counter.
-type Counter struct{ v atomic.Uint64 }
+// cacheLine is the coherence unit the instruments are padded to: a hot
+// counter alone on its line is not invalidated by writes to its neighbour.
+const cacheLine = 64
+
+// Counter is a monotonic uint64 counter, padded to a cache line so two
+// hot counters never share one.
+type Counter struct {
+	v atomic.Uint64
+	_ [cacheLine - 8]byte
+}
 
 // Add increments the counter by delta; Inc by one. Nil-safe.
 func (c *Counter) Add(delta uint64) {
@@ -104,8 +134,12 @@ func (c *Counter) Load() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is an instantaneous int64 value (e.g. in-flight calls).
-type Gauge struct{ v atomic.Int64 }
+// Gauge is an instantaneous int64 value, padded to a cache line like
+// Counter.
+type Gauge struct {
+	v atomic.Int64
+	_ [cacheLine - 8]byte
+}
 
 // Add moves the gauge by delta (negative to decrease). Nil-safe.
 func (g *Gauge) Add(delta int64) {
@@ -131,13 +165,19 @@ func (g *Gauge) Load() int64 {
 
 // Histogram accumulates observations into fixed buckets chosen at
 // creation. Observe is lock-free: one atomic add on the bucket counter
-// plus atomic total/sum updates. Bucket i counts observations <=
-// bounds[i]; one extra overflow bucket counts the rest.
+// plus the sum's compare-and-swap. Bucket i counts observations <=
+// bounds[i]; one extra overflow bucket counts the rest. There is no
+// separate total: the count is the sum of the buckets, so a reader never
+// sees a count that disagrees with them, and Observe writes one word
+// fewer.
 type Histogram struct {
 	bounds  []float64 // sorted upper bounds; immutable after creation
 	buckets []atomic.Uint64
-	count   atomic.Uint64
-	sum     atomic.Uint64 // math.Float64bits of the running sum (CAS loop)
+	// sum sits on its own cache line: every Observe rewrites it, and the
+	// read-only headers above are loaded by every Observe too.
+	_   [cacheLine]byte
+	sum atomic.Uint64 // math.Float64bits of the running sum (CAS loop)
+	_   [cacheLine - 8]byte
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -166,7 +206,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	h.buckets[lo].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -183,12 +222,17 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	}
 }
 
-// Count returns the number of observations (0 on nil).
+// Count returns the number of observations, the sum of the buckets (0 on
+// nil).
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n uint64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
 }
 
 // LatencyBuckets are the default upper bounds (seconds) for RPC round-trip
@@ -297,23 +341,26 @@ func (r *Registry) Snapshot() Snapshot {
 			snap.Counters[name] = c.Load()
 		}
 	}
-	if len(r.gauges) > 0 {
-		snap.Gauges = make(map[string]int64, len(r.gauges))
+	if len(r.gauges)+len(r.gaugeFuncs) > 0 {
+		snap.Gauges = make(map[string]int64, len(r.gauges)+len(r.gaugeFuncs))
 		for name, g := range r.gauges {
 			snap.Gauges[name] = g.Load()
+		}
+		for name, f := range r.gaugeFuncs {
+			snap.Gauges[name] = f()
 		}
 	}
 	if len(r.histograms) > 0 {
 		snap.Histograms = make(map[string]HistogramSnapshot, len(r.histograms))
 		for name, h := range r.histograms {
 			hs := HistogramSnapshot{
-				Count:   h.count.Load(),
 				Sum:     math.Float64frombits(h.sum.Load()),
 				Bounds:  h.bounds,
 				Buckets: make([]uint64, len(h.buckets)),
 			}
 			for i := range h.buckets {
 				hs.Buckets[i] = h.buckets[i].Load()
+				hs.Count += hs.Buckets[i]
 			}
 			snap.Histograms[name] = hs
 		}

@@ -135,6 +135,67 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 }
 
+// TestHistogramSnapshotDuringObserve takes snapshots while writers
+// observe: a histogram's count is the sum of its buckets, so every
+// snapshot agrees with itself however the writes interleave.
+func TestHistogramSnapshotDuringObserve(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("lat", LatencyBuckets)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.Observe(float64(i%7+w) * 0.0007)
+			}
+		}(w)
+	}
+	for i := 0; i < 200; i++ {
+		snap := r.Snapshot().Histograms["lat"]
+		var inBuckets uint64
+		for _, b := range snap.Buckets {
+			inBuckets += b
+		}
+		if snap.Count != inBuckets {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("snapshot %d: count = %d, bucket total = %d", i, snap.Count, inBuckets)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got, want := h.Count(), r.Snapshot().Histograms["lat"].Count; got != want {
+		t.Errorf("Count() = %d after writers stopped, snapshot count = %d", got, want)
+	}
+}
+
+// TestGaugeFunc checks a read-time gauge is evaluated at each snapshot,
+// that the first function registered under a name stays, and that a nil
+// registry ignores it.
+func TestGaugeFunc(t *testing.T) {
+	r := NewRegistry()
+	var v int64
+	r.GaugeFunc("derived", func() int64 { return v })
+	r.GaugeFunc("derived", func() int64 { return -1 })
+	v = 3
+	if got := r.Snapshot().Gauges["derived"]; got != 3 {
+		t.Errorf("derived = %d, want 3", got)
+	}
+	v = 5
+	if got := r.Snapshot().Gauges["derived"]; got != 5 {
+		t.Errorf("derived = %d after change, want 5", got)
+	}
+	var nilReg *Registry
+	nilReg.GaugeFunc("derived", func() int64 { return 1 })
+}
+
 // Metric updates are on protocol hot paths: they must not allocate.
 func TestInstrumentUpdatesDoNotAllocate(t *testing.T) {
 	r := NewRegistry()

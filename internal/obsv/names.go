@@ -6,7 +6,7 @@ package obsv
 const (
 	// Transport (internal/transport, both TCP and the in-memory Network).
 	MetricRPCLatency   = "transport.rpc.latency_seconds" // histogram: request/response round trip
-	MetricRPCInflight  = "transport.rpc.inflight"        // gauge: calls issued but not yet completed
+	MetricRPCInflight  = "transport.rpc.inflight"        // read-time gauge: calls issued but not yet completed (calls minus latency count)
 	MetricRPCCalls     = "transport.rpc.calls"           // counter: calls issued
 	MetricRPCErrors    = "transport.rpc.errors"          // counter: calls that returned an error
 	MetricFlushBatch   = "transport.flush.batch_frames"  // histogram: frames coalesced per socket flush

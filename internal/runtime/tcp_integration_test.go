@@ -19,7 +19,7 @@ import (
 func TestMulticastOverTCP(t *testing.T) {
 	RegisterWireTypes()
 	const groupSize = 6
-	space := ring.MustSpace(16)
+	space := ring.MustSpace(32)
 
 	var (
 		mu  sync.Mutex
@@ -102,7 +102,7 @@ func TestMulticastOverTCP(t *testing.T) {
 // across sockets, including the wire round trip of every type involved.
 func TestLookupOverTCP(t *testing.T) {
 	RegisterWireTypes()
-	space := ring.MustSpace(16)
+	space := ring.MustSpace(32)
 
 	var transports []*transport.TCP
 	var nodes []*Node
@@ -185,7 +185,7 @@ func TestRemoteLookupExhaustionIsTyped(t *testing.T) {
 			nodes := make([]*Node, 4)
 			for i := range nodes {
 				tr, addr := tc.start(t, i)
-				n, err := NewNode(tr, addr, Config{Space: ring.MustSpace(16), Mode: ModeCAMChord, Capacity: 4})
+				n, err := NewNode(tr, addr, Config{Space: ring.MustSpace(32), Mode: ModeCAMChord, Capacity: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -238,7 +238,7 @@ func TestVetoedNotifyChecksDeadPredecessor(t *testing.T) {
 
 func vetoedNotifyChecksDeadPredecessor(t *testing.T, hostUp bool) {
 	RegisterWireTypes()
-	space := ring.MustSpace(16)
+	space := ring.MustSpace(32)
 	var nodes []*Node
 	var transports []*transport.TCP
 	t.Cleanup(func() {
@@ -332,7 +332,7 @@ func TestSendDeadlineOverTCP(t *testing.T) {
 			}
 			t.Cleanup(func() { tr.Close() })
 			n, err := NewNode(tr, tr.Addr(), Config{
-				Space: ring.MustSpace(16), Mode: ModeCAMChord, Capacity: 3,
+				Space: ring.MustSpace(32), Mode: ModeCAMChord, Capacity: 3,
 				ForwardTimeout: tc.forwardTimeout,
 			})
 			if err != nil {
@@ -419,7 +419,7 @@ func TestPooledDeadlinesOverTCP(t *testing.T) {
 	}
 	t.Cleanup(func() { tr.Close() })
 	n, err := NewNode(tr, tr.Addr(), Config{
-		Space: ring.MustSpace(16), Mode: ModeCAMChord, Capacity: 3,
+		Space: ring.MustSpace(32), Mode: ModeCAMChord, Capacity: 3,
 		ForwardTimeout: forwardTimeout,
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"camcast/internal/obsv"
@@ -60,6 +61,38 @@ func BenchmarkTCPCall(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkNetworkCallParallel measures in-process calls from every
+// processor at once on an instrumented network of 4 000 endpoints, the
+// mem-runtime shape: each goroutine walks its own sequence of callers and
+// destinations, so calls contend only on what the network shares.
+func BenchmarkNetworkCallParallel(b *testing.B) {
+	const endpoints = 4000
+	n := NewNetwork(1)
+	n.Instrument(obsv.NewRegistry())
+	addrs := make([]string, endpoints)
+	echo := func(from, kind string, payload any) (any, error) { return payload, nil }
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("10.0.%d.%d:7000", i/256, i%256)
+		n.Register(addrs[i], echo)
+	}
+	ctx := context.Background()
+	var payload any = 7
+	var worker atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(worker.Add(1)) * 7919
+		for pb.Next() {
+			i++
+			from, to := addrs[i%endpoints], addrs[(i*31)%endpoints]
+			if _, err := n.Call(ctx, from, to, "offer", payload); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // benchParallel issues b.N calls from exactly n concurrent goroutines

@@ -14,12 +14,11 @@ import (
 // exactly one pointer check per call — the <5% round-trip budget on the
 // pipelined benchmark depends on this.
 type instruments struct {
-	latency  *obsv.Histogram // request/response round trip, seconds
-	inflight *obsv.Gauge     // calls issued but not yet completed
-	calls    *obsv.Counter   // calls issued
-	errors   *obsv.Counter   // calls that returned an error
-	flush    *obsv.Histogram // frames coalesced per socket flush
-	served   *obsv.Counter   // requests served by accept-side workers
+	latency *obsv.Histogram // request/response round trip, seconds
+	calls   *obsv.Counter   // calls issued
+	errors  *obsv.Counter   // calls that returned an error
+	flush   *obsv.Histogram // frames coalesced per socket flush
+	served  *obsv.Counter   // requests served by accept-side workers
 
 	bytesSent *obsv.Counter // frame bytes written to sockets (incl. length prefixes)
 	bytesRecv *obsv.Counter // frame bytes read from sockets (incl. length prefixes)
@@ -40,13 +39,22 @@ func newInstruments(reg *obsv.Registry) instruments {
 	if reg == nil {
 		return instruments{}
 	}
+	latency := reg.Histogram(obsv.MetricRPCLatency, obsv.LatencyBuckets)
+	calls := reg.Counter(obsv.MetricRPCCalls)
+	// In-flight calls are derived at snapshot time rather than counted up
+	// and down on every call: a call counts itself before it starts and
+	// observes its latency when it ends. The latency count is read first,
+	// so a call finishing between the two reads cannot make it negative.
+	reg.GaugeFunc(obsv.MetricRPCInflight, func() int64 {
+		done := latency.Count()
+		return int64(calls.Load() - done)
+	})
 	return instruments{
-		latency:  reg.Histogram(obsv.MetricRPCLatency, obsv.LatencyBuckets),
-		inflight: reg.Gauge(obsv.MetricRPCInflight),
-		calls:    reg.Counter(obsv.MetricRPCCalls),
-		errors:   reg.Counter(obsv.MetricRPCErrors),
-		flush:    reg.Histogram(obsv.MetricFlushBatch, obsv.CountBuckets(32)),
-		served:   reg.Counter(obsv.MetricServerServed),
+		latency: latency,
+		calls:   calls,
+		errors:  reg.Counter(obsv.MetricRPCErrors),
+		flush:   reg.Histogram(obsv.MetricFlushBatch, obsv.CountBuckets(32)),
+		served:  reg.Counter(obsv.MetricServerServed),
 
 		bytesSent: reg.Counter(obsv.MetricBytesSent),
 		bytesRecv: reg.Counter(obsv.MetricBytesReceived),

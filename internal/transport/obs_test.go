@@ -104,3 +104,26 @@ func TestNetworkInstrumented(t *testing.T) {
 		t.Errorf("latency observations = %d, want 2", got)
 	}
 }
+
+// TestNetworkInflightDerived checks the read-time in-flight gauge: a
+// snapshot taken inside a handler counts that call, one taken after it
+// returns counts none.
+func TestNetworkInflightDerived(t *testing.T) {
+	reg := obsv.NewRegistry()
+	n := NewNetwork(1)
+	n.Instrument(reg)
+	var during int64 = -1
+	n.Register("a", func(from, kind string, payload any) (any, error) {
+		during = reg.Snapshot().Gauges[obsv.MetricRPCInflight]
+		return nil, nil
+	})
+	if _, err := n.Call(context.Background(), "b", "a", "x", nil); err != nil {
+		t.Fatal(err)
+	}
+	if during != 1 {
+		t.Errorf("inflight during the call = %d, want 1", during)
+	}
+	if got := reg.Snapshot().Gauges[obsv.MetricRPCInflight]; got != 0 {
+		t.Errorf("inflight after the call = %d, want 0", got)
+	}
+}

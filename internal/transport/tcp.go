@@ -197,11 +197,9 @@ func (t *TCP) CallGroup(ctx context.Context, gid uint64, from, to, kind string, 
 		return t.dispatch(ctx, gid, from, to, kind, payload)
 	}
 	t.obs.calls.Inc()
-	t.obs.inflight.Add(1)
-	start := time.Now()
+	start := time.Since(epoch)
 	resp, err := t.dispatch(ctx, gid, from, to, kind, payload)
-	t.obs.inflight.Add(-1)
-	t.obs.latency.ObserveDuration(time.Since(start))
+	t.obs.latency.ObserveDuration(time.Since(epoch) - start)
 	if err != nil {
 		t.obs.errors.Inc()
 	}

@@ -16,8 +16,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"camcast/internal/obsv"
@@ -42,32 +44,74 @@ type Handler func(from, kind string, payload any) (any, error)
 
 // Network is an in-memory network of named endpoints. The zero value is not
 // usable; construct with NewNetwork.
+//
+// A call takes no lock. It writes one shared word, the call counter, and
+// reads the rest from immutable snapshots:
+//   - The fault knobs (latency, drop rate, partitions, per-link loss and
+//     delay, the FaultPlan) form one faultState. Every setter copies the
+//     current state, changes the copy and publishes it; a call loads the
+//     state once, so it sees one consistent set of faults, and a setter
+//     applies to every call that starts after it returns.
+//   - Endpoints live in copy-on-write tables (endpointTable): a call that
+//     starts after Register or Unregister returned sees the change, so a
+//     call to an unregistered address fails with ErrUnreachable.
+//   - Loss draws take the seeded rng's own lock, and only when a drop
+//     probability is above zero. Sequential calls draw in call order, so a
+//     seeded run is reproducible; concurrent calls take their call index
+//     and their draw in whatever order they race.
 type Network struct {
-	mu        sync.RWMutex
-	endpoints map[uint64]map[string]Handler // group flow label -> addr -> handler
+	_ [cacheLine - 8]byte
+	// calls is the call index, the FaultPlan time base and the one word
+	// every call writes: it sits alone on its cache line, so the read-only
+	// fields below stay shared in every core's cache.
+	calls atomic.Uint64
+	_     [cacheLine - 8]byte
+
+	faults atomic.Pointer[faultState]
+	groups atomic.Pointer[map[uint64]*endpointTable] // group flow label -> table
+
+	// obs holds the metric handles installed by Instrument; the zero value
+	// disables all measurement. Like the TCP transport's knobs it is set
+	// before first use, so Call reads it without synchronisation.
+	obs instruments
+
+	drops atomic.Uint64
+	mu    sync.Mutex // serialises the fault setters and registrations
+	rngMu sync.Mutex
+	rng   *rand.Rand
+}
+
+// cacheLine is the coherence unit Network pads its call counter to.
+const cacheLine = 64
+
+// faultState is one immutable snapshot of the network's fault knobs. A
+// setter publishes a changed copy; nothing writes a published state.
+type faultState struct {
 	latency   func(from, to string) time.Duration
 	dropRate  float64
 	partition map[string]int // endpoint -> partition id; missing means 0
 	linkLoss  map[link]float64
 	linkDelay map[link]time.Duration
 	plan      *FaultPlan
-	rng       *rand.Rand
-	calls     uint64
-	drops     uint64
-
-	// obs holds the metric handles installed by Instrument; the zero value
-	// disables all measurement. Like the TCP transport's knobs it is set
-	// before first use, so Call reads it without the lock.
-	obs instruments
 }
 
 // NewNetwork creates an empty network. seed drives loss simulation.
 func NewNetwork(seed int64) *Network {
-	return &Network{
-		endpoints: make(map[uint64]map[string]Handler),
-		partition: make(map[string]int),
-		rng:       rand.New(rand.NewSource(seed)),
-	}
+	n := &Network{rng: rand.New(rand.NewSource(seed))}
+	n.faults.Store(&faultState{})
+	n.groups.Store(new(map[uint64]*endpointTable))
+	return n
+}
+
+// setFaults publishes a copy of the fault state changed by edit. Maps in
+// the copy are still shared with the published state: edit must replace a
+// map it changes, never write into it.
+func (n *Network) setFaults(edit func(*faultState)) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	next := *n.faults.Load()
+	edit(&next)
+	n.faults.Store(&next)
 }
 
 // Instrument directs the network's call measurements — round-trip
@@ -92,74 +136,98 @@ func (n *Network) Register(addr string, h Handler) { n.RegisterGroup(DefaultGrou
 func (n *Network) Unregister(addr string) { n.UnregisterGroup(DefaultGroup, addr) }
 
 // RegisterGroup attaches a handler at addr within group gid. The same
-// address may host endpoints in any number of groups. The table is nested
-// (label, then address) rather than struct-keyed so the per-call lookup
-// stays on the runtime's inlined uint64/string map fast paths — a
-// struct-keyed map calls out to a generated hash func, and that extra
-// frame is what repeatedly grew the short-lived fan-out goroutines' stacks.
+// address may host endpoints in any number of groups. Each group has its
+// own endpoint table, so a call's lookup is one uint64 map access and one
+// shard scan; the group map, like the tables, is copied on write.
 func (n *Network) RegisterGroup(gid uint64, addr string, h Handler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	eps := n.endpoints[gid]
-	if eps == nil {
-		eps = make(map[string]Handler)
-		n.endpoints[gid] = eps
+	groups := *n.groups.Load()
+	t := groups[gid]
+	if t == nil {
+		t = newEndpointTable()
+		next := maps.Clone(groups)
+		if next == nil {
+			next = make(map[uint64]*endpointTable, 1)
+		}
+		next[gid] = t
+		n.groups.Store(&next)
 	}
-	eps[addr] = h
+	t.put(addr, h)
 }
 
 // UnregisterGroup removes addr's endpoint within group gid.
 func (n *Network) UnregisterGroup(gid uint64, addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	eps := n.endpoints[gid]
-	delete(eps, addr)
-	if len(eps) == 0 {
-		delete(n.endpoints, gid)
+	groups := *n.groups.Load()
+	t := groups[gid]
+	if t == nil {
+		return
 	}
+	t.remove(addr)
+	if t.n == 0 {
+		next := maps.Clone(groups)
+		delete(next, gid)
+		n.groups.Store(&next)
+	}
+}
+
+// endpoint returns the handler registered at addr within group gid.
+func (n *Network) endpoint(gid uint64, addr string) (Handler, bool) {
+	t := (*n.groups.Load())[gid]
+	if t == nil {
+		return nil, false
+	}
+	return t.lookup(addr)
 }
 
 // SetLatency installs a per-link latency function; nil disables latency
 // simulation. The function must be safe for concurrent use.
 func (n *Network) SetLatency(f func(from, to string) time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.latency = f
+	n.setFaults(func(fs *faultState) { fs.latency = f })
 }
 
 // SetDropRate makes every call fail with ErrDropped with probability rate
 // (clamped to [0, 1]).
 func (n *Network) SetDropRate(rate float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	n.dropRate = rate
+	rate = clampRate(rate)
+	n.setFaults(func(fs *faultState) { fs.dropRate = rate })
+}
+
+func clampRate(rate float64) float64 {
+	return min(max(rate, 0), 1)
 }
 
 // SetPartition places addr into the given partition. Calls between
 // different partitions fail with ErrPartitioned. All endpoints start in
-// partition 0.
+// partition 0. Each call copies the partition table, so placing k
+// endpoints one by one costs O(k²).
 func (n *Network) SetPartition(addr string, partition int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if partition == 0 {
-		delete(n.partition, addr)
-		return
-	}
-	n.partition[addr] = partition
+	n.setFaults(func(fs *faultState) {
+		fs.partition = withEntry(fs.partition, addr, partition, partition != 0)
+	})
 }
 
 // HealPartitions returns every endpoint to partition 0 (FaultPlan partition
 // windows, which are keyed on the call counter, are unaffected).
 func (n *Network) HealPartitions() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.partition = make(map[string]int)
+	n.setFaults(func(fs *faultState) { fs.partition = nil })
+}
+
+// withEntry returns a copy of m with k set to v, or with k removed when
+// keep is false; m itself is never written.
+func withEntry[K comparable, V any](m map[K]V, k K, v V, keep bool) map[K]V {
+	next := maps.Clone(m)
+	if !keep {
+		delete(next, k)
+		return next
+	}
+	if next == nil {
+		next = make(map[K]V, 1)
+	}
+	next[k] = v
+	return next
 }
 
 // link selects one direction of traffic between endpoints; an empty side is
@@ -187,22 +255,10 @@ func linkMatch[T interface{ float64 | time.Duration }](m map[link]T, from, to st
 // per-link, so asymmetric failures (A cannot reach B while B still reaches
 // A) are expressible. The churn simulator's fault plans drive this knob.
 func (n *Network) SetLinkLoss(from, to string, rate float64) {
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if rate == 0 {
-		delete(n.linkLoss, link{from, to})
-		return
-	}
-	if n.linkLoss == nil {
-		n.linkLoss = make(map[link]float64)
-	}
-	n.linkLoss[link{from, to}] = rate
+	rate = clampRate(rate)
+	n.setFaults(func(fs *faultState) {
+		fs.linkLoss = withEntry(fs.linkLoss, link{from, to}, rate, rate != 0)
+	})
 }
 
 // SetLinkDelay adds d of latency to every call on the from->to direction;
@@ -210,25 +266,15 @@ func (n *Network) SetLinkLoss(from, to string, rate float64) {
 // Slow-receiver scenarios use a to-selector to make one member's inbound
 // links crawl without touching the rest of the group.
 func (n *Network) SetLinkDelay(from, to string, d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if d <= 0 {
-		delete(n.linkDelay, link{from, to})
-		return
-	}
-	if n.linkDelay == nil {
-		n.linkDelay = make(map[link]time.Duration)
-	}
-	n.linkDelay[link{from, to}] = d
+	n.setFaults(func(fs *faultState) {
+		fs.linkDelay = withEntry(fs.linkDelay, link{from, to}, d, d > 0)
+	})
 }
 
 // ClearLinkFaults removes every per-link loss and delay installed with
 // SetLinkLoss/SetLinkDelay.
 func (n *Network) ClearLinkFaults() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.linkLoss = nil
-	n.linkDelay = nil
+	n.setFaults(func(fs *faultState) { fs.linkLoss, fs.linkDelay = nil, nil })
 }
 
 // SetFaultPlan installs a deterministic fault schedule; nil removes it.
@@ -236,33 +282,34 @@ func (n *Network) ClearLinkFaults() {
 // Calls), so installing the same plan at the same point of a deterministic
 // protocol run reproduces exactly the same failures.
 func (n *Network) SetFaultPlan(p *FaultPlan) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.plan = p
+	n.setFaults(func(fs *faultState) { fs.plan = p })
 }
 
 // Stats returns the total number of calls attempted and dropped so far.
 func (n *Network) Stats() (calls, drops uint64) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.calls, n.drops
+	return n.calls.Load(), n.drops.Load()
 }
 
 // Calls returns the current call counter, the time base of FaultPlan
 // windows: the next Call observes index Calls().
 func (n *Network) Calls() uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.calls
+	return n.calls.Load()
 }
 
-// effectivePartition returns addr's partition id at call index step,
-// preferring an active plan window over the imperative assignment.
-func (n *Network) effectivePartition(addr string, step uint64) int {
-	if p, ok := n.plan.partitionAt(addr, step); ok {
+// partitionAt returns addr's partition id at call index step, preferring
+// an active plan window over the imperative assignment.
+func (fs *faultState) partitionAt(addr string, step uint64) int {
+	if p, ok := fs.plan.partitionAt(addr, step); ok {
 		return p
 	}
-	return n.partition[addr]
+	return fs.partition[addr]
+}
+
+// lose draws one loss decision at probability p from the seeded rng.
+func (n *Network) lose(p float64) bool {
+	n.rngMu.Lock()
+	defer n.rngMu.Unlock()
+	return n.rng.Float64() < p
 }
 
 // Call delivers one request from -> to and returns the handler's response.
@@ -285,11 +332,9 @@ func (n *Network) CallGroup(ctx context.Context, gid uint64, from, to, kind stri
 		return n.dispatch(ctx, gid, from, to, kind, payload, time.Time{})
 	}
 	n.obs.calls.Inc()
-	n.obs.inflight.Add(1)
-	start := time.Now()
-	resp, err := n.dispatch(ctx, gid, from, to, kind, payload, start)
-	n.obs.inflight.Add(-1)
-	n.obs.latency.ObserveDuration(time.Since(start))
+	start := time.Since(epoch)
+	resp, err := n.dispatch(ctx, gid, from, to, kind, payload, epoch.Add(start))
+	n.obs.latency.ObserveDuration(time.Since(epoch) - start)
 	if err != nil {
 		n.obs.errors.Inc()
 	}
@@ -301,39 +346,32 @@ func (n *Network) CallGroup(ctx context.Context, gid uint64, from, to, kind stri
 // the instant the deadline is checked against, so a call reads the clock
 // no more than it must.
 func (n *Network) dispatch(ctx context.Context, gid uint64, from, to, kind string, payload any, now time.Time) (any, error) {
-	n.mu.Lock()
-	step := n.calls
-	n.calls++
-	if n.plan.CrashedAt(to, step) || n.plan.CrashedAt(from, step) {
-		n.mu.Unlock()
+	step := n.calls.Add(1) - 1
+	fs := n.faults.Load()
+	if fs.plan.CrashedAt(to, step) || fs.plan.CrashedAt(from, step) {
 		return nil, fmt.Errorf("%s -> %s: crashed: %w", from, to, ErrUnreachable)
 	}
-	if n.effectivePartition(from, step) != n.effectivePartition(to, step) {
-		n.mu.Unlock()
+	if fs.partitionAt(from, step) != fs.partitionAt(to, step) {
 		return nil, fmt.Errorf("%s -> %s: %w", from, to, ErrPartitioned)
 	}
-	drop := n.dropRate
-	if r := n.plan.lossAt(from, to, step); r > drop {
+	drop := fs.dropRate
+	if r := fs.plan.lossAt(from, to, step); r > drop {
 		drop = r
 	}
-	if r := linkMatch(n.linkLoss, from, to); r > drop {
+	if r := linkMatch(fs.linkLoss, from, to); r > drop {
 		drop = r
 	}
-	if drop > 0 && n.rng.Float64() < drop {
-		n.drops++
-		n.mu.Unlock()
+	if drop > 0 && n.lose(drop) {
+		n.drops.Add(1)
 		return nil, fmt.Errorf("%s -> %s (%s): %w", from, to, kind, ErrDropped)
 	}
-	h, ok := n.endpoints[gid][to]
-	latency := n.latency
-	delay := n.plan.delayAt(from, to, step) + linkMatch(n.linkDelay, from, to)
-	n.mu.Unlock()
-
+	h, ok := n.endpoint(gid, to)
 	if !ok {
 		return nil, fmt.Errorf("%s -> %s: %w", from, to, ErrUnreachable)
 	}
-	if latency != nil {
-		delay += latency(from, to)
+	delay := fs.plan.delayAt(from, to, step) + linkMatch(fs.linkDelay, from, to)
+	if fs.latency != nil {
+		delay += fs.latency(from, to)
 	}
 	if delay > 0 {
 		if err := sleepCtx(ctx, delay); err != nil {
@@ -346,6 +384,12 @@ func (n *Network) dispatch(ctx context.Context, gid uint64, from, to, kind strin
 	}
 	return h(from, kind, payload)
 }
+
+// epoch anchors the clock reads of measured calls. A call times itself as
+// two offsets from it: each is one monotonic clock read, where time.Now
+// reads the wall clock as well. epoch.Add(offset) is still a time.Time
+// with a monotonic reading, so deadlines compare against it exactly.
+var epoch = time.Now()
 
 // ctxErrAt is ctx.Err() with the deadline judged at now (read here when
 // zero): the caller's cancellation first, then context.DeadlineExceeded
