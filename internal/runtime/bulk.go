@@ -91,7 +91,7 @@ func BulkInstall(nodes []*Node, opts BulkOptions) error {
 		if m == 1 {
 			n.setSuccSelfLocked()
 		} else {
-			k := n.cfg.SuccListLen
+			k := succListLen
 			if k > m-1 {
 				k = m - 1
 			}

@@ -55,10 +55,9 @@ func TestKoordeIncrementalConvergence(t *testing.T) {
 	// membership oracle and checks the hop distribution. The bound is
 	// 2·log2(n) digit hops (capacity-4 members consume one bit per hop, and
 	// a truncated cursor spends up to cursorMarginBits extra single-bit
-	// hops) plus slack for delegations and the exhausted-cursor recovery
+	// hops) plus slack for delegations and the spent cursor's predecessor
 	// walk across entries gone stale since their owner's last fix pass.
-	// Mid-ramp this measures p50≈14 p99≈20 at every checkpoint — the tail
-	// is n-independent because the backward walk's length is set by slot
+	// The tail is n-independent because the walk's length is set by slot
 	// staleness (bounded by the fix rotation period), not by ring size.
 	probe := func(n int) {
 		const probes = 200
@@ -84,17 +83,6 @@ func TestKoordeIncrementalConvergence(t *testing.T) {
 		p99 := hops[len(hops)*99/100]
 		logN := int(ring.Log2Floor(uint64(n))) + 1
 		bound := 2*logN + cursorMarginBits + 16
-		if n < 1000 {
-			// Below ~1k members the empty arcs flanking the ring origin span
-			// many mean successor gaps, and a digit chain whose imaginary
-			// path crosses them (keys near 2^(b-1), whose doubled images pass
-			// the origin) can land too far from the owner for the backward
-			// walk, paying reinjected retry chains instead. Those retries are
-			// capped at an eighth of the hop budget by design, so the sparse-
-			// scale tail carries that allowance; from ~1k members on the arcs
-			// shrink below the walk threshold and the tight bound holds.
-			bound += nodes[0].maxLookupHops() / 8
-		}
 		t.Logf("at %d members: lookup hops p50=%d p99=%d max=%d (bound %d)", n, p50, p99, hops[len(hops)-1], bound)
 		if p99 > bound {
 			t.Errorf("at %d members: lookup hops p99 = %d, want <= %d", n, p99, bound)

@@ -95,7 +95,7 @@ func TestIsolatedMemberRejoinsAfterHeal(t *testing.T) {
 	c.grow(8, 4)
 	cut := c.live()[3]
 	c.net.SetPartition(cut.Self().Addr, 1)
-	for i := 0; i <= cut.cfg.SuccListLen; i++ {
+	for i := 0; i <= succListLen; i++ {
 		cut.StabilizeOnce()
 	}
 	if succs := cut.SuccessorList(); len(succs) != 1 || succs[0].Addr != cut.Self().Addr {

@@ -10,25 +10,21 @@ import (
 )
 
 // failedSubtreePenalty is the hop-budget cost of one candidate that
-// responded with a lookup failure. It is deliberately a large fraction of
-// the budget: successful detours are short (a few hops), so they fit in
-// whatever budget remains, while a search that keeps dead-ending exhausts
-// its budget after a handful of subtree explorations instead of
+// responded with a lookup failure. With maxLookupHops = 4·32+256 = 384 at
+// 32 bits, one lookup explores at most 384/64 = 6 failed subtrees before
+// its budget runs out, however wide the partition. A
+// successful detour is a few hops and fits in what remains; a search that
+// keeps dead-ending stops after a handful of subtrees instead of
 // backtracking exponentially.
 const failedSubtreePenalty = 64
 
 // cursorMarginBits is how many bits a digit cursor injects beyond the
-// ~log2(n) needed to name the owner's ring segment. Each extra bit halves
-// the landing offset from k's true owner, so 8 bits land the chain within
-// 1/256 of a successor gap — at the owner or its immediate ring neighbor —
-// for the cost of at most 8 extra single-bit hops on capacity-4 paths.
-const cursorMarginBits = 8
-
-// exhaustWalkGaps is how far past k's owner (in mean successor gaps) an
-// exhausted digit cursor still recovers by walking backward through exact
-// predecessor pointers — one hop per stale member — before the landing is
-// treated as flash-crowd staleness and rerouted instead.
-const exhaustWalkGaps = 48
+// b - log2(gap) that name the owner's segment. The gap is the mean over
+// the succListLen successors, and a mean over m gaps misjudges the local
+// density by up to about a factor of m when the list straddles a dense
+// cluster; log2(m) extra bits absorb that factor, so the chain still
+// lands within a gap of the owner.
+var cursorMarginBits = int(ring.Log2Floor(succListLen))
 
 // maxLookupHops is the lookup hop budget (and the value a failed lookup
 // observes in the hop histogram). The generous multiple of the identifier
@@ -125,10 +121,24 @@ func (n *Node) ownSuccessor(k ring.ID, pred NodeInfo, hasPred bool, succ NodeInf
 // digitRoute advances a CAM-Koorde lookup by digit shifts. It initializes
 // the cursor on a fresh entry-point request (Hops == 0, no cursor yet) and
 // otherwise takes over only requests that already carry one; handled is
-// false when the request must route greedily instead (a cursorless onward
-// hop of a greedy walk, or the digit step's owner was unreachable — in
-// which case the greedy fallback runs here directly, seeded with the
-// subtree penalty).
+// false when the request must route greedily instead: a cursorless onward
+// hop of a greedy walk, a spent cursor with k ahead of us, or a digit step
+// with nowhere to go.
+//
+// Each pass of the loop either returns or consumes at least one of the
+// cursor's bits, under three rules:
+//
+//  1. A slot that names this node, or whose occupant lies below the slot's
+//     image, is consumed in place. The right-shift de Bruijn map
+//     x -> v·2^(b-s) | x>>s is linear while the ring is circular, so a
+//     slot whose image falls in the empty arc above the highest member
+//     stores a successor that wrapped past the origin; following it would
+//     tear the real chain from the imaginary one, while consuming the
+//     digit here keeps the cursor exact and the next step rejoins it.
+//  2. An unfilled or suspect slot delegates the unchanged cursor to a live
+//     successor.
+//  3. A spent cursor walks back through predecessor pointers while k is
+//     behind us, and otherwise falls to greedy routing.
 func (n *Node) digitRoute(req findSuccReq, self, pred NodeInfo, hasPred bool) (resp any, err error, handled bool) {
 	k := req.K
 	b := n.space.Bits()
@@ -139,69 +149,14 @@ func (n *Node) digitRoute(req findSuccReq, self, pred NodeInfo, hasPred bool) (r
 			return nil, nil, false
 		}
 		// Entry point: start the imaginary chain at our own identifier and
-		// plan to inject only k's top cursorBits() — enough to land within a
-		// successor gap of k's owner; the residual low bits are absorbed by
-		// the termination checks and at most a ring step at the landing.
+		// inject only k's top cursorBits(), enough to land within a
+		// successor gap of k's owner.
 		req.HasCursor = true
 		req.Img = self.ID
 		req.Left = n.cursorBits()
 	}
 
-	for {
-		if req.Left == 0 {
-			// Chain exhausted: the landing is near k's owner, but the last
-			// hop resolved through another node's slot, and slot contents
-			// lag membership (they are only as fresh as the owner's last
-			// fix pass), so the landing can sit several members PAST the
-			// owner. Up to exhaustWalkGaps mean successor gaps behind —
-			// staleness from normal join traffic — walking backward through
-			// the exact predecessor pointers converges in a hop per stale
-			// member, cheaper than any rerouting. The yardstick is the mean
-			// gap from the successor list, not the landing node's own
-			// predecessor gap, whose exponential variance would randomly
-			// reject cheap walks. k ahead of us (an undershoot) is the
-			// greedy candidates' home turf already.
-			behind := n.space.Dist(k, self.ID)
-			if behind < n.space.Dist(self.ID, k) {
-				gap := n.meanSuccGap()
-				if gap == 0 && hasPred {
-					gap = n.space.Dist(pred.ID, self.ID)
-				}
-				if behind <= exhaustWalkGaps*gap &&
-					hasPred && pred.Addr != self.Addr && !n.isSuspect(pred.Addr) {
-					fwd := req
-					fwd.Hops++
-					r, err := n.call(pred.Addr, kindFindSucc, fwd)
-					if err == nil {
-						if fs, ok := r.(findSuccResp); ok {
-							return fs, nil, true
-						}
-					}
-					if isLookupFailed(err) {
-						r2, err2 := n.greedyRoute(req, self, failedSubtreePenalty)
-						return r2, err2, true
-					}
-				}
-				// Landed a long way past the owner — a flash-crowd's worth of
-				// members joined ahead of us since the final slot's owner last
-				// fixed it, and the backward walk would pay a hop per stale
-				// member. Re-inject a fresh cursor and run a new digit chain
-				// from here: another O(log n) trial through different tables
-				// that usually lands close enough for the predecessor walk
-				// above. Staleness is spatially correlated (everyone's slots
-				// covering a freshly-grown region lag together), so trials
-				// are capped at an eighth of the hop budget; past that the
-				// greedy walk finishes with most of the budget in hand.
-				if req.Hops < n.maxLookupHops()/8 {
-					req.Img = self.ID
-					req.Left = n.cursorBits()
-					continue
-				}
-				return nil, nil, false
-			}
-			return nil, nil, false
-		}
-
+	for req.Left > 0 {
 		// One digit step: the widest shift our capacity affords for the next
 		// of k's remaining top bits, looked up in our own slot table.
 		g, shift, v := camkoorde.NextShift(n.cfg.Capacity, k, b-uint(req.Left), b)
@@ -217,103 +172,64 @@ func (n *Node) digitRoute(req findSuccReq, self, pred NodeInfo, hasPred bool) (r
 			n.mu.Unlock()
 		}
 
-		// The right-shift de Bruijn map x -> v·2^(b-s) | x>>s is linear, not
-		// circular: two ring-adjacent identifiers straddling zero map half a
-		// ring apart. A slot whose image falls in the empty arc above the
-		// highest member therefore stores a successor that wrapped past the
-		// origin — following it would tear the real chain away from the
-		// imaginary one for the rest of the lookup, degenerating into an
-		// O(n) greedy walk. A wrapped step (target linearly below the slot
-		// image) is genuine only when the image sits just above us — wrap
-		// forces both into the ring's top 2^shift·gap arc — and is then
-		// consumed in place like a self-pointing slot: the cursor stays
-		// within a few gaps of us and the next non-wrapping digit rejoins
-		// the chain. A wrapped target whose image is far from us is instead
-		// a fossil from when the ring was sparse enough for the image's
-		// whole upper arc to be empty; consuming there would tear the cursor
-		// just as badly, so the slot is treated as unresolved below.
-		wrapped := false
-		slotImg := n.space.TopBits(v, shift) | n.space.Shr(self.ID, shift)
-		if !target.zero() && target.ID < slotImg {
-			gap := n.meanSuccGap()
-			if gap == 0 || n.space.Dist(self.ID, slotImg) <= (gap<<shift)<<2 {
-				fwd := req
-				fwd.Img = n.space.TopBits(v, shift) | n.space.Shr(req.Img, shift)
-				fwd.Left = req.Left - uint32(shift)
-				req = fwd
-				continue
-			}
-			wrapped = true
-		}
-
-		if target.zero() || wrapped || n.isSuspect(target.Addr) {
-			// Slot not (yet) resolved — a fresh joiner mid-FixAll, or the
-			// occupant just failed an RPC. Delegate the UNCHANGED cursor to a
-			// live successor-list entry: the cursor is position-independent
-			// state, any node's tables cover the same digit step, and on a
-			// converged ring one such delegation suffices (a fresh joiner's
-			// successor is exactly such a node). Preferring the farthest
-			// entry makes the degenerate everyone-unfilled case a
-			// stride-SuccListLen ring walk instead of a stride-1 one.
-			// Never delegate across the ring origin: the right-shift digit
-			// map is discontinuous at zero, so a cursor carried past the
-			// origin lands its remaining steps half a ring from the
-			// imaginary chain. Such delegates fall through to greedy.
-			if live, ok := n.delegateSuccessor(self); ok && live.ID > self.ID {
-				fwd := req
-				fwd.Hops++
-				r, err := n.call(live.Addr, kindFindSucc, fwd)
-				if err == nil {
-					if fs, ok := r.(findSuccResp); ok {
-						return fs, nil, true
-					}
-				}
-				if isLookupFailed(err) {
-					r2, err2 := n.greedyRoute(req, self, failedSubtreePenalty)
-					return r2, err2, true
-				}
-			}
-			return nil, nil, false
-		}
-
-		// Advance the imaginary chain. The cursor carries the calculated
-		// identifier, not the resolved node's, so sparse-ring resolution
-		// drift never compounds (each hop divides the previous offset by
-		// 2^shift); see camkoorde.Lookup for the static-network analogue.
+		// The cursor carries the calculated identifier, not the resolved
+		// node's, so sparse-ring resolution drift never compounds (each hop
+		// divides the previous offset by 2^shift); see camkoorde.Lookup for
+		// the static-network analogue.
 		fwd := req
 		fwd.Img = n.space.TopBits(v, shift) | n.space.Shr(req.Img, shift)
 		fwd.Left = req.Left - uint32(shift)
-
-		if target.Addr == self.Addr {
-			// Our own table maps the step back to us (dense capacity or tiny
-			// ring): consume the digit locally and take the next one.
+		slotImg := n.space.TopBits(v, shift) | n.space.Shr(self.ID, shift)
+		switch {
+		case !target.zero() && (target.Addr == self.Addr || target.ID < slotImg):
 			req = fwd
-			continue
-		}
-
-		fwd.Hops++
-		r, err := n.call(target.Addr, kindFindSucc, fwd)
-		if err == nil {
-			if fs, ok := r.(findSuccResp); ok {
-				return fs, nil, true
+		case target.zero() || n.isSuspect(target.Addr):
+			// Never delegate across the ring origin, where the digit map is
+			// discontinuous: such a delegate routes greedily instead.
+			if live, ok := n.delegateSuccessor(self); ok && live.ID > self.ID {
+				return n.forwardCursor(live.Addr, req, self)
 			}
 			return nil, nil, false
+		default:
+			return n.forwardCursor(target.Addr, fwd, self)
 		}
-		// The digit target is unreachable: fall back to greedy backtracking,
-		// charging the failed-subtree penalty when the target itself already
-		// exhausted a downstream search.
-		penalty := 0
-		if isLookupFailed(err) {
-			penalty = failedSubtreePenalty
-		}
-		r2, err2 := n.greedyRoute(req, self, penalty)
-		return r2, err2, true
 	}
+
+	if hasPred && pred.Addr != self.Addr && !n.isSuspect(pred.Addr) &&
+		n.space.Dist(k, self.ID) < n.space.Dist(self.ID, k) {
+		return n.forwardCursor(pred.Addr, req, self)
+	}
+	return nil, nil, false
+}
+
+// forwardCursor sends the cursor-bearing request req one hop on to addr.
+// When the call fails, the lookup routes greedily from here instead,
+// charged the failed-subtree penalty if addr's own search exhausted it.
+func (n *Node) forwardCursor(addr string, req findSuccReq, self NodeInfo) (any, error, bool) {
+	fwd := req
+	fwd.Hops++
+	r, err := n.call(addr, kindFindSucc, fwd)
+	if err == nil {
+		if fs, ok := r.(findSuccResp); ok {
+			return fs, nil, true
+		}
+		return nil, nil, false
+	}
+	penalty := 0
+	if isLookupFailed(err) {
+		penalty = failedSubtreePenalty
+	}
+	r2, err2 := n.greedyRoute(req, self, penalty)
+	return r2, err2, true
 }
 
 // delegateSuccessor picks the farthest successor-list entry that is
-// neither self nor suspect — the delegate for a digit step whose slot is
-// unfilled or whose occupant is suspect.
+// neither self nor suspect: the delegate for a digit step whose slot is
+// unfilled (a fresh joiner mid-FixAll) or suspect. The cursor is
+// position-independent state, any node's tables cover the same digit
+// step, and on a converged ring one such delegation suffices. Preferring
+// the farthest entry makes the degenerate everyone-unfilled case a
+// stride-succListLen ring walk instead of a stride-1 one.
 func (n *Node) delegateSuccessor(self NodeInfo) (NodeInfo, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -328,10 +244,9 @@ func (n *Node) delegateSuccessor(self NodeInfo) (NodeInfo, bool) {
 }
 
 // cursorBits estimates how many of k's top bits a digit cursor must inject
-// for the truncated chain to land within one successor-list span of k's
-// owner: b - log2(mean successor gap) names the owner's segment, plus
-// cursorMarginBits of safety. The gap estimate comes from the node's own
-// successor list — the only densely sampled ring segment it knows.
+// for the truncated chain to land within one successor gap of k's owner:
+// b - log2(mean successor gap) names the owner's segment, plus
+// cursorMarginBits for the error of the gap estimate.
 func (n *Node) cursorBits() uint32 {
 	b := int(n.space.Bits())
 	gap := n.meanSuccGap()

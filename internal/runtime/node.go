@@ -103,14 +103,20 @@ type Delivery struct {
 	Hops    int // overlay hops the message travelled from the source
 }
 
+const (
+	// succListLen is the resilience successor-list length: a member keeps
+	// its ring link through succListLen-1 consecutive failures ahead of it.
+	succListLen = 4
+	// seenLimit bounds the duplicate-suppression cache, in message ids.
+	seenLimit = 4096
+)
+
 // Config parameterizes a node.
 type Config struct {
 	Space    ring.Space
 	Mode     Mode
 	Capacity int // c_x: maximum direct multicast children
 
-	// SuccListLen is the resilience successor-list length (default 4).
-	SuccListLen int
 	// StabilizeEvery / FixEvery are the node's maintenance cadences once
 	// a Scheduler owns it (Scheduler.Add). Zero means the defaults, 500ms
 	// and 1s; negative runs no background round of that kind. A node no
@@ -118,8 +124,6 @@ type Config struct {
 	// StabilizeOnce/FixOnce (deterministic tests do this).
 	StabilizeEvery time.Duration
 	FixEvery       time.Duration
-	// SeenLimit bounds the duplicate-suppression cache (default 4096).
-	SeenLimit int
 
 	// ForwardRetries is how many times a failed child send is retried
 	// (re-resolving the child between attempts) before the orphaned
@@ -189,12 +193,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.SuccListLen == 0 {
-		c.SuccListLen = 4
-	}
-	if c.SeenLimit == 0 {
-		c.SeenLimit = 4096
-	}
 	if c.StabilizeEvery == 0 {
 		c.StabilizeEvery = 500 * time.Millisecond
 	}
@@ -248,9 +246,6 @@ func (c *Config) validate() error {
 		}
 	default:
 		return fmt.Errorf("runtime: unknown mode %d", c.Mode)
-	}
-	if c.SuccListLen < 1 {
-		return fmt.Errorf("runtime: successor list length %d must be >= 1", c.SuccListLen)
 	}
 	return nil
 }
@@ -388,8 +383,8 @@ func NewNode(net Transport, addr string, cfg Config) (*Node, error) {
 		net:       net,
 		clock:     cfg.Clock,
 		arena:     cfg.Arena,
-		seen:      newSeenCache(cfg.SeenLimit),
-		reflooded: newSeenCache(cfg.SeenLimit),
+		seen:      newSeenCache(seenLimit),
+		reflooded: newSeenCache(seenLimit),
 		suspects:  make(map[string]time.Time),
 		memo:      make(map[ring.ID]NodeInfo),
 		stopCh:    make(chan struct{}),
@@ -402,8 +397,8 @@ func NewNode(net Transport, addr string, cfg Config) (*Node, error) {
 	}
 	n.spec = specFor(n.space, cfg.Mode, cfg.Capacity)
 	n.predRef = noRef
-	n.succRefs = make([]uint32, 0, cfg.SuccListLen)
-	n.succSpare = make([]uint32, 0, cfg.SuccListLen)
+	n.succRefs = make([]uint32, 0, succListLen)
+	n.succSpare = make([]uint32, 0, succListLen)
 	n.slotRefs = make([]uint32, n.spec.len())
 	for i := range n.slotRefs {
 		n.slotRefs[i] = noRef
@@ -593,7 +588,7 @@ func (n *Node) Join(bootstrapAddr string) error {
 			nb, _ = resp.(neighborsResp)
 			break
 		}
-		if skips == n.cfg.SuccListLen || !unreachable(err) {
+		if skips == succListLen || !unreachable(err) {
 			return fmt.Errorf("runtime: join via %s: successor %s: %w", bootstrapAddr, succ.Addr, err)
 		}
 		if succ, err = n.joinLookup(bootstrapAddr, n.space.Add(succ.ID, 1)); err != nil {
@@ -602,7 +597,7 @@ func (n *Node) Join(bootstrapAddr string) error {
 	}
 	succs := []NodeInfo{succ}
 	for _, s := range nb.Succs {
-		if len(succs) >= n.cfg.SuccListLen {
+		if len(succs) >= succListLen {
 			break
 		}
 		if s.Addr != n.self.Addr && s.Addr != succ.Addr {
@@ -833,7 +828,7 @@ func (n *Node) isSuspect(addr string) bool {
 // SweepSeen rotates the node's duplicate-suppression caches one generation
 // forward (see seenCache). The maintenance scheduler calls this on a slow
 // cadence so long-idle members shed their dedup window back to empty
-// instead of pinning the last SeenLimit message ids forever.
+// instead of pinning the last seenLimit message ids forever.
 func (n *Node) SweepSeen() {
 	n.seen.Sweep()
 	n.reflooded.Sweep()
@@ -1036,10 +1031,10 @@ func (n *Node) StabilizeOnce() {
 	// pointer can dangle at a crashed member; adopting it unconfirmed makes
 	// the successor pointer oscillate between the dead candidate and the
 	// live successor every other round. Following the pointers back up to
-	// SuccListLen members re-links in one round a successor list that a
+	// succListLen members re-links in one round a successor list that a
 	// partition eroded (each call that failed to reach the head dropped
 	// one entry).
-	for i := 0; i < n.cfg.SuccListLen && nb.Pred != nil && nb.Pred.Addr != n.self.Addr &&
+	for i := 0; i < succListLen && nb.Pred != nil && nb.Pred.Addr != n.self.Addr &&
 		n.space.InOO(nb.Pred.ID, n.self.ID, succ.ID); i++ {
 		r2, err := n.call(nb.Pred.Addr, kindNeighbors, neighborsReq{})
 		if err != nil {
@@ -1067,10 +1062,10 @@ func (n *Node) StabilizeOnce() {
 	}
 
 	// Rebuild the successor list: succ followed by its list, minus self.
-	list := make([]NodeInfo, 0, n.cfg.SuccListLen)
+	list := make([]NodeInfo, 0, succListLen)
 	list = append(list, succ)
 	for _, s := range nb.Succs {
-		if len(list) >= n.cfg.SuccListLen {
+		if len(list) >= succListLen {
 			break
 		}
 		if s.Addr == n.self.Addr || s.Addr == succ.Addr {
