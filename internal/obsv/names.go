@@ -5,9 +5,13 @@ package obsv
 // the name suffix where they matter (histograms of durations are seconds).
 const (
 	// Transport (internal/transport, both TCP and the in-memory Network).
-	MetricRPCLatency   = "transport.rpc.latency_seconds" // histogram: request/response round trip
-	MetricRPCInflight  = "transport.rpc.inflight"        // read-time gauge: calls issued but not yet completed (calls minus latency count)
+	// The latency histogram times every TCP call but only one in-process
+	// call in 64, chosen by the network's call index: there its count is
+	// a sample, and calls counts every call.
+	MetricRPCLatency   = "transport.rpc.latency_seconds" // histogram: request/response round trip (in process: sampled 1 in 64 by call index)
+	MetricRPCInflight  = "transport.rpc.inflight"        // read-time gauge: calls issued but not yet completed (calls minus completed)
 	MetricRPCCalls     = "transport.rpc.calls"           // counter: calls issued
+	MetricRPCCompleted = "transport.rpc.completed"       // counter: calls returned, failed ones included
 	MetricRPCErrors    = "transport.rpc.errors"          // counter: calls that returned an error
 	MetricFlushBatch   = "transport.flush.batch_frames"  // histogram: frames coalesced per socket flush
 	MetricServerServed = "transport.server.requests"     // counter: requests served by accept-side workers

@@ -89,18 +89,23 @@ func (n *Node) planSegments(k ring.ID, plan []childPlan) []childPlan {
 // one hold of n.mu, so all children of a fan-out see one consistent view,
 // and drops the children that view proves empty. It compacts plan in place
 // and returns the children left: those with a resolved target, and those
-// whose y lies beyond the successor and so need a routed lookup. A child
-// resolves to
+// whose y lies beyond the successor with no current memo entry, which
+// need a routed lookup. A child resolves to
 //   - its candidate, when that is not suspect and lies inside its segment:
 //     the table slot's occupant, or for the successor child the first
 //     successor-list entry not held suspect (liveSuccessorLocked);
 //   - otherwise, FindSuccessor's answer from the node's own pointers
-//     (ownSuccessor), and it is dropped when that answer lies outside its
-//     segment.
+//     (ownSuccessor);
+//   - otherwise, the confirmSuccessor memo's answer for y, when the memo
+//     holds one for the current topology generation (memoPeek).
 //
-// A dropped child would have ended in a memo hit or a local FindSuccessor,
-// neither of which makes an RPC, so dropping it leaves the spread's RPC
-// sequence unchanged.
+// A child whose answer lies outside its segment is dropped. A dropped child
+// would otherwise have ended in a memo hit or a local FindSuccessor in
+// forwardSegment, neither of which makes an RPC, so on a topology that
+// holds still dropping it leaves the spread's RPC sequence unchanged. The
+// memo is read here, before the fan-out, not when the child's turn comes:
+// a child dropped on the memo's word no longer gets a fresh lookup when a
+// sibling's failed send moves topoGen during the fan-out.
 func (n *Node) resolvePlan(plan []childPlan) []childPlan {
 	s := n.space
 	self := n.self
@@ -132,10 +137,28 @@ func (n *Node) resolvePlan(plan []childPlan) []childPlan {
 				continue // no member owns this segment
 			}
 			cp.to = own
+		} else if info, ok := n.memoPeek(cp.y); ok {
+			if info.zero() || info.Addr == self.Addr || !s.InOC(info.ID, self.ID, cp.segEnd) {
+				continue // the memoized lookup found the segment empty
+			}
+			cp.to = info
 		}
 		out = append(out, cp)
 	}
 	return out
+}
+
+// memoPeek returns confirmSuccessor's memoized answer for y when the memo
+// holds one for the current topology generation. It never looks up.
+func (n *Node) memoPeek(y ring.ID) (NodeInfo, bool) {
+	gen := n.topoGen.Load()
+	n.memoMu.Lock()
+	defer n.memoMu.Unlock()
+	if n.memoGen != gen {
+		return NodeInfo{}, false
+	}
+	info, ok := n.memo[y]
+	return info, ok
 }
 
 // fanOut runs r.run(i) for every i in [0, count) concurrently, bounded by
@@ -499,49 +522,79 @@ func (n *Node) sendTimed(ctx context.Context, to, kind string, payload any) (any
 	return n.callWithin(ctx, n.cfg.ForwardTimeout, to, kind, payload)
 }
 
-// callWithin issues one RPC under ctx bounded at d from now; d <= 0 leaves
-// it unbounded. The bound is a deadlineCtx borrowed from deadlinePool for
-// the call's duration: Transport.Call must not retain ctx after it
-// returns, so the context goes back to the pool then, and an RPC allocates
-// no context.
+// callWithin issues one RPC under ctx bounded at d; d <= 0 leaves it
+// unbounded. The bound is a deadlineCtx borrowed from deadlinePool for the
+// call's duration: Transport.Call must not retain ctx after it returns, so
+// the context goes back to the pool then, and an RPC allocates no context
+// and reads no clock until its transport asks for the deadline.
 func (n *Node) callWithin(ctx context.Context, d time.Duration, to, kind string, payload any) (any, error) {
 	if d <= 0 {
 		return n.callCtx(ctx, to, kind, payload)
 	}
 	dc := deadlinePool.Get().(*deadlineCtx)
-	dc.Context, dc.at = ctx, time.Now().Add(d)
+	dc.Context, dc.d = ctx, d
 	resp, err := n.callCtx(dc, to, kind, payload)
-	*dc = deadlineCtx{}
+	dc.reset()
 	deadlinePool.Put(dc)
 	return resp, err
 }
 
-// deadlineCtx is ctx bounded at a fixed instant without a timer: Deadline
-// reports the earlier of the parent's deadline and at, and Err reports
-// context.DeadlineExceeded once at has passed, but Done is the parent's and
-// does not close at at. The transport enforces the deadline by reading
-// Deadline (the TCP deadline sweeper, the mem transport's clipped delay),
-// so an RPC costs neither the timer, cancel closure and context that
+// deadlineCtx is ctx bounded d after the bound starts, without a timer.
+// The bound starts at the first Deadline call, which fixes its instant
+// once: the transport reads Deadline when it has time to bound (TCP before
+// its exchange, the mem transport before a simulated delay), and a call
+// that never asks (an in-process call with no delay) reads no clock.
+// Deadline reports the earlier of the parent's deadline and the bound's
+// instant; Err reports the parent's error and, once the instant is fixed
+// and has passed, context.DeadlineExceeded; Done is the parent's and does
+// not close at the bound. The transport enforces the deadline itself (the
+// TCP deadline sweeper, the mem transport's clipped delay), so an RPC
+// costs neither the timer, cancel closure and context that
 // context.WithTimeout builds per call nor, pooled, any allocation.
 type deadlineCtx struct {
 	context.Context
-	at time.Time
+	d time.Duration
+	// at is the bound's instant as an offset from deadlineEpoch, zero
+	// until the first Deadline call fixes it. Goroutines racing to fix it
+	// (a net.Dialer reads the deadline from its own goroutines) agree on
+	// the first one stored.
+	at atomic.Int64
 }
 
 var deadlinePool = sync.Pool{New: func() any { return new(deadlineCtx) }}
 
+// deadlineEpoch anchors deadlineCtx instants: an offset from it is one
+// monotonic clock read, and deadlineEpoch.Add(offset) is a time.Time that
+// compares against time.Now() by its monotonic reading.
+var deadlineEpoch = time.Now()
+
+// reset empties c for the pool.
+func (c *deadlineCtx) reset() {
+	c.Context, c.d = nil, 0
+	c.at.Store(0)
+}
+
 func (c *deadlineCtx) Deadline() (time.Time, bool) {
-	if d, ok := c.Context.Deadline(); ok && d.Before(c.at) {
+	at := c.at.Load()
+	if at == 0 {
+		// time.Since(deadlineEpoch) >= 0 and d > 0, so a fixed at is never 0.
+		at = int64(time.Since(deadlineEpoch) + c.d)
+		if !c.at.CompareAndSwap(0, at) {
+			at = c.at.Load()
+		}
+	}
+	own := deadlineEpoch.Add(time.Duration(at))
+	if d, ok := c.Context.Deadline(); ok && d.Before(own) {
 		return d, true
 	}
-	return c.at, true
+	return own, true
 }
 
 func (c *deadlineCtx) Err() error {
 	if err := c.Context.Err(); err != nil {
 		return err
 	}
-	if !time.Now().Before(c.at) {
+	if at := c.at.Load(); at != 0 && time.Since(deadlineEpoch) >= time.Duration(at) {
 		return context.DeadlineExceeded
 	}
 	return nil
@@ -604,10 +657,11 @@ func (n *Node) forwardSegment(ctx context.Context, msgID string, source NodeInfo
 
 	child := cp.to
 	if child.zero() {
-		// y lies beyond the successor, and the table slot is empty, suspect,
+		// y lies beyond the successor, the table slot is empty, suspect,
 		// or claims the segment is empty — a slot filled before closer
-		// members joined looks exactly the same. Confirm with a lookup before
-		// silently truncating the tree here.
+		// members joined looks exactly the same — and resolvePlan found no
+		// current memo entry. Confirm with a lookup before silently
+		// truncating the tree here.
 		info, err := n.confirmSuccessor(cp.y)
 		if err != nil {
 			// The lookup itself failed — the network said no, not the ring.

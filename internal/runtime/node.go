@@ -71,6 +71,11 @@ type Transport interface {
 	// read ctx.Deadline() and enforce it itself: the node bounds each RPC
 	// with a deadline that no timer backs, so Done() does not close when
 	// it passes (Done() closes only on the caller's own cancellation).
+	// That bound starts at the first ctx.Deadline() read: a transport
+	// reads it before it spends time the bound should cover (a network
+	// exchange, a simulated delay), and until then ctx.Err() reports only
+	// the caller's cancellation, so a call that never reads it (an
+	// in-process call with no delay) reads no clock for its bound.
 	// Call must not retain ctx after it returns.
 	Call(ctx context.Context, from, to, kind string, payload any) (any, error)
 	// Register attaches the handler serving addr.

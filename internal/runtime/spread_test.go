@@ -17,10 +17,11 @@ import (
 )
 
 // loggedCall is one RPC a node issued; dup records a flood the receiver
-// answered as a duplicate.
+// answered as a duplicate, and k a multicast's segment end.
 type loggedCall struct {
 	from, to, kind string
 	dup            bool
+	k              ring.ID
 }
 
 // callLog is a node transport that records every call it carries.
@@ -33,8 +34,9 @@ type callLog struct {
 func (l *callLog) Call(ctx context.Context, from, to, kind string, payload any) (any, error) {
 	resp, err := l.Transport.Call(ctx, from, to, kind, payload)
 	fr, _ := resp.(floodResp)
+	mr, _ := payload.(multicastReq)
 	l.mu.Lock()
-	l.calls = append(l.calls, loggedCall{from: from, to: to, kind: kind, dup: fr.Duplicate})
+	l.calls = append(l.calls, loggedCall{from: from, to: to, kind: kind, dup: fr.Duplicate, k: mr.K})
 	l.mu.Unlock()
 	return resp, err
 }
@@ -288,6 +290,61 @@ func TestSpreadExactCalls(t *testing.T) {
 					t.Errorf("%d members, message %d: %d segment spreads observed, want one per forwarding parent (%d)",
 						size, i, got, len(parents))
 				}
+			}
+		}
+	})
+}
+
+// TestSpreadMemoDropsEmptyChildren: on a converged ring whose lookup memo
+// the first message warmed, every child a member plans for a later message
+// is resolved before the fan-out and sent to. A child beyond the successor
+// whose memoized owner lies outside its segment is dropped by resolvePlan,
+// not carried into forwardSegment only to end there without a send.
+func TestSpreadMemoDropsEmptyChildren(t *testing.T) {
+	sizes := []int{64, 256}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
+	forEachFanOut(t, func(t *testing.T, fp int) {
+		for _, size := range sizes {
+			r := newExactRing(t, ModeCAMChord, size, fp)
+			src := r.nodes[size/3]
+			if _, err := src.Multicast([]byte("warm-up")); err != nil {
+				t.Fatal(err)
+			}
+			r.log.take()
+			msgID, err := src.Multicast([]byte("p"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.checkExactlyOnce(t, msgID)
+			segments := map[string][]ring.ID{src.Self().Addr: {r.space.Sub(src.Self().ID, 1)}}
+			sends := make(map[string]int)
+			for _, c := range r.log.take() {
+				if c.kind == kindMulticast {
+					segments[c.to] = append(segments[c.to], c.k)
+					sends[c.from]++
+				}
+			}
+			unresolved := 0
+			for _, n := range r.nodes {
+				addr := n.Self().Addr
+				planned := 0
+				for _, k := range segments[addr] {
+					for _, cp := range n.resolvePlan(n.planSegments(k, nil)) {
+						planned++
+						if cp.to.zero() {
+							unresolved++
+						}
+					}
+				}
+				if planned != sends[addr] {
+					t.Errorf("%d members: %s plans %d children for the message and sends %d, want every planned child sent",
+						size, addr, planned, sends[addr])
+				}
+			}
+			if unresolved != 0 {
+				t.Errorf("%d members: %d planned children reach forwardSegment unresolved on a warmed ring, want 0", size, unresolved)
 			}
 		}
 	})

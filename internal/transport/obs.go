@@ -14,11 +14,14 @@ import (
 // exactly one pointer check per call — the <5% round-trip budget on the
 // pipelined benchmark depends on this.
 type instruments struct {
-	latency *obsv.Histogram // request/response round trip, seconds
-	calls   *obsv.Counter   // calls issued
-	errors  *obsv.Counter   // calls that returned an error
-	flush   *obsv.Histogram // frames coalesced per socket flush
-	served  *obsv.Counter   // requests served by accept-side workers
+	// latency holds request/response round trips, seconds: every call
+	// over TCP, one call in latencySamplePeriod in process.
+	latency   *obsv.Histogram
+	calls     *obsv.Counter   // calls issued
+	completed *obsv.Counter   // calls returned, failed ones included
+	errors    *obsv.Counter   // calls that returned an error
+	flush     *obsv.Histogram // frames coalesced per socket flush
+	served    *obsv.Counter   // requests served by accept-side workers
 
 	bytesSent *obsv.Counter // frame bytes written to sockets (incl. length prefixes)
 	bytesRecv *obsv.Counter // frame bytes read from sockets (incl. length prefixes)
@@ -39,22 +42,25 @@ func newInstruments(reg *obsv.Registry) instruments {
 	if reg == nil {
 		return instruments{}
 	}
-	latency := reg.Histogram(obsv.MetricRPCLatency, obsv.LatencyBuckets)
 	calls := reg.Counter(obsv.MetricRPCCalls)
+	completed := reg.Counter(obsv.MetricRPCCompleted)
 	// In-flight calls are derived at snapshot time rather than counted up
-	// and down on every call: a call counts itself before it starts and
-	// observes its latency when it ends. The latency count is read first,
-	// so a call finishing between the two reads cannot make it negative.
+	// and down on every call: a call counts itself issued before it starts
+	// and completed when it returns. The completions are read first, so a
+	// call finishing between the two reads cannot make it negative. Both
+	// counters come from the registry, so transports sharing one derive
+	// the same value.
 	reg.GaugeFunc(obsv.MetricRPCInflight, func() int64 {
-		done := latency.Count()
+		done := completed.Load()
 		return int64(calls.Load() - done)
 	})
 	return instruments{
-		latency: latency,
-		calls:   calls,
-		errors:  reg.Counter(obsv.MetricRPCErrors),
-		flush:   reg.Histogram(obsv.MetricFlushBatch, obsv.CountBuckets(32)),
-		served:  reg.Counter(obsv.MetricServerServed),
+		latency:   reg.Histogram(obsv.MetricRPCLatency, obsv.LatencyBuckets),
+		calls:     calls,
+		completed: completed,
+		errors:    reg.Counter(obsv.MetricRPCErrors),
+		flush:     reg.Histogram(obsv.MetricFlushBatch, obsv.CountBuckets(32)),
+		served:    reg.Counter(obsv.MetricServerServed),
 
 		bytesSent: reg.Counter(obsv.MetricBytesSent),
 		bytesRecv: reg.Counter(obsv.MetricBytesReceived),

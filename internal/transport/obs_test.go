@@ -78,30 +78,40 @@ func TestTCPInstrumented(t *testing.T) {
 	}
 }
 
-// TestNetworkInstrumented checks the in-memory transport records the same
-// call metrics.
+// TestNetworkInstrumented checks the in-memory transport's sampled call
+// metrics: every call is counted, and one in latencySamplePeriod is timed,
+// chosen by call index. 130 calls time indices 0, 64 and 128; the one call
+// to a missing endpoint is counted as an error whether timed or not.
 func TestNetworkInstrumented(t *testing.T) {
 	reg := obsv.NewRegistry()
 	n := NewNetwork(1)
 	n.Instrument(reg)
 	n.Register("a", func(from, kind string, payload any) (any, error) { return payload, nil })
 
-	if _, err := n.Call(context.Background(), "b", "a", "echo", 7); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Call(context.Background(), "b", "gone", "echo", 7); err == nil {
-		t.Fatal("call to unregistered endpoint succeeded")
+	const calls = 130
+	for i := 0; i < calls; i++ {
+		to := "a"
+		if i == 77 {
+			to = "gone"
+		}
+		_, err := n.Call(context.Background(), "b", to, "echo", 7)
+		if (err != nil) != (to == "gone") {
+			t.Fatalf("call %d to %s: err = %v", i, to, err)
+		}
 	}
 
 	snap := reg.Snapshot()
-	if got := snap.Counters[obsv.MetricRPCCalls]; got != 2 {
-		t.Errorf("%s = %d, want 2", obsv.MetricRPCCalls, got)
+	if got := snap.Counters[obsv.MetricRPCCalls]; got != calls {
+		t.Errorf("%s = %d, want %d", obsv.MetricRPCCalls, got, calls)
 	}
 	if got := snap.Counters[obsv.MetricRPCErrors]; got != 1 {
 		t.Errorf("%s = %d, want 1", obsv.MetricRPCErrors, got)
 	}
-	if got := snap.Histograms[obsv.MetricRPCLatency].Count; got != 2 {
-		t.Errorf("latency observations = %d, want 2", got)
+	if got := snap.Histograms[obsv.MetricRPCLatency].Count; got != 3 {
+		t.Errorf("latency observations = %d, want 3 (call indices 0, 64 and 128)", got)
+	}
+	if got := snap.Gauges[obsv.MetricRPCInflight]; got != 0 {
+		t.Errorf("inflight gauge = %d after quiesce, want 0", got)
 	}
 }
 

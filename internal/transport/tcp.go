@@ -191,7 +191,10 @@ func (t *TCP) Call(ctx context.Context, from, to, kind string, payload any) (any
 	return t.CallGroup(ctx, DefaultGroup, from, to, kind, payload)
 }
 
-// CallGroup delivers one request within group gid (see Call).
+// CallGroup delivers one request within group gid (see Call). An
+// instrumented TCP call is timed every time: its two clock reads are under
+// 0.5 % of a loopback round trip, so unlike the in-process network it is
+// not sampled.
 func (t *TCP) CallGroup(ctx context.Context, gid uint64, from, to, kind string, payload any) (any, error) {
 	if t.obs.latency == nil {
 		return t.dispatch(ctx, gid, from, to, kind, payload)
@@ -200,6 +203,7 @@ func (t *TCP) CallGroup(ctx context.Context, gid uint64, from, to, kind string, 
 	start := time.Since(epoch)
 	resp, err := t.dispatch(ctx, gid, from, to, kind, payload)
 	t.obs.latency.ObserveDuration(time.Since(epoch) - start)
+	t.obs.completed.Inc()
 	if err != nil {
 		t.obs.errors.Inc()
 	}
@@ -254,6 +258,8 @@ func (e *handlerError) Error() string { return e.msg }
 
 // rpcDeadline resolves the per-call deadline for one exchange: the sooner
 // of the context deadline and now+RPCTimeout (zero when both are unset).
+// A per-RPC bound that starts at its first Deadline read (the runtime's
+// deadlineCtx) starts here, or at the dial that preceded the exchange.
 func (t *TCP) rpcDeadline(ctx context.Context) time.Time {
 	var deadline time.Time
 	if t.RPCTimeout > 0 {

@@ -45,8 +45,10 @@ type Handler func(from, kind string, payload any) (any, error)
 // Network is an in-memory network of named endpoints. The zero value is not
 // usable; construct with NewNetwork.
 //
-// A call takes no lock. It writes one shared word, the call counter, and
-// reads the rest from immutable snapshots:
+// A call takes no lock and, unless it simulates a delay, reads no clock.
+// It writes one shared word, the call counter, and reads the rest from
+// immutable snapshots (an instrumented call also counts itself issued and
+// completed, and one in latencySamplePeriod is timed):
 //   - The fault knobs (latency, drop rate, partitions, per-link loss and
 //     delay, the FaultPlan) form one faultState. Every setter copies the
 //     current state, changes the copy and publishes it; a call loads the
@@ -328,25 +330,42 @@ func (n *Network) Call(ctx context.Context, from, to, kind string, payload any) 
 // address, regardless of group: the simulated failure is the host's or the
 // link's, and every group sharing it fails together.
 func (n *Network) CallGroup(ctx context.Context, gid uint64, from, to, kind string, payload any) (any, error) {
+	step := n.calls.Add(1) - 1
 	if n.obs.latency == nil {
-		return n.dispatch(ctx, gid, from, to, kind, payload, time.Time{})
+		return n.dispatch(ctx, step, gid, from, to, kind, payload)
 	}
 	n.obs.calls.Inc()
-	start := time.Since(epoch)
-	resp, err := n.dispatch(ctx, gid, from, to, kind, payload, epoch.Add(start))
-	n.obs.latency.ObserveDuration(time.Since(epoch) - start)
+	var resp any
+	var err error
+	if step%latencySamplePeriod == 0 {
+		start := time.Since(epoch)
+		resp, err = n.dispatch(ctx, step, gid, from, to, kind, payload)
+		n.obs.latency.ObserveDuration(time.Since(epoch) - start)
+	} else {
+		resp, err = n.dispatch(ctx, step, gid, from, to, kind, payload)
+	}
+	n.obs.completed.Inc()
 	if err != nil {
 		n.obs.errors.Inc()
 	}
 	return resp, err
 }
 
-// dispatch carries one call. now is the time the call started, when the
-// caller already read it (zero otherwise): with no simulated delay it is
-// the instant the deadline is checked against, so a call reads the clock
-// no more than it must.
-func (n *Network) dispatch(ctx context.Context, gid uint64, from, to, kind string, payload any, now time.Time) (any, error) {
-	step := n.calls.Add(1) - 1
+// latencySamplePeriod is how many in-process calls share one latency
+// sample: the call with index step is timed when step is a multiple of it.
+// Timing a call (two clock reads, a bucket add and the sum's CAS) costs
+// about as much as the untimed call itself, some 100 ns; timing one call
+// in 64 bounds the measurement to under 2 % of the call path, and at 10k
+// calls/s still yields about 150 samples a second. The call index picks
+// the sample, so which calls are timed is deterministic and choosing
+// costs no shared write.
+const latencySamplePeriod = 64
+
+// dispatch carries the call with index step. With no simulated delay it
+// reads no clock: the only deadline check is ctx.Err(), and a per-RPC
+// bound whose instant is not fixed yet (the runtime's deadlineCtx) has
+// nothing to report until a transport reads its Deadline.
+func (n *Network) dispatch(ctx context.Context, step, gid uint64, from, to, kind string, payload any) (any, error) {
 	fs := n.faults.Load()
 	if fs.plan.CrashedAt(to, step) || fs.plan.CrashedAt(from, step) {
 		return nil, fmt.Errorf("%s -> %s: crashed: %w", from, to, ErrUnreachable)
@@ -377,47 +396,26 @@ func (n *Network) dispatch(ctx context.Context, gid uint64, from, to, kind strin
 		if err := sleepCtx(ctx, delay); err != nil {
 			return nil, fmt.Errorf("%s -> %s (%s): %w", from, to, kind, err)
 		}
-		now = time.Time{} // the sleep moved the clock on
 	}
-	if err := ctxErrAt(ctx, now); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%s -> %s (%s): %w", from, to, kind, err)
 	}
 	return h(from, kind, payload)
 }
 
-// epoch anchors the clock reads of measured calls. A call times itself as
-// two offsets from it: each is one monotonic clock read, where time.Now
-// reads the wall clock as well. epoch.Add(offset) is still a time.Time
-// with a monotonic reading, so deadlines compare against it exactly.
+// epoch anchors the clock reads of timed calls. A call times itself as two
+// offsets from it: each is one monotonic clock read, where time.Now reads
+// the wall clock as well.
 var epoch = time.Now()
-
-// ctxErrAt is ctx.Err() with the deadline judged at now (read here when
-// zero): the caller's cancellation first, then context.DeadlineExceeded
-// once now has reached ctx's deadline.
-func ctxErrAt(ctx context.Context, now time.Time) error {
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	default:
-	}
-	at, ok := ctx.Deadline()
-	if !ok {
-		return nil
-	}
-	if now.IsZero() {
-		now = time.Now()
-	}
-	if !now.Before(at) {
-		return context.DeadlineExceeded
-	}
-	return nil
-}
 
 // sleepCtx sleeps for d, or until ctx is done or its deadline passes,
 // whichever comes first. The deadline is read from ctx.Deadline(), not
 // waited for on Done(): a caller may bound a call with a deadline no timer
 // closes Done() for. A sleep clipped at the deadline reports
-// context.DeadlineExceeded.
+// context.DeadlineExceeded. It is the in-process transport's only read of
+// ctx.Deadline(), so a per-RPC bound that starts at its first Deadline
+// read (the runtime's deadlineCtx) starts here, and only on a call with a
+// delay to simulate.
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	clipped := false
 	if at, ok := ctx.Deadline(); ok {
