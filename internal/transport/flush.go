@@ -13,12 +13,14 @@ import (
 // flushes. A writer that knows it is the only active writer on the
 // connection (sole pending call, last in-flight handler) flushes inline —
 // no added latency on a quiet connection. Any other writer leaves its frame
-// buffered and arms the flusher goroutine, which yields the processor a
-// couple of times before flushing, so every caller or handler that is
-// already runnable gets to append its frame first: a 16-way concurrent
-// fan-out lands in one write syscall instead of sixteen. This is what makes
-// pipelining pay off even on a single core, where concurrent writers never
-// actually overlap on the write lock.
+// buffered and, unless a flush is already armed, starts a flusher goroutine
+// (flushSoon) that yields the processor a couple of times before flushing,
+// so every caller or handler that is already runnable gets to append its
+// frame first: a 16-way concurrent fan-out lands in one write syscall
+// instead of sixteen. This is what makes pipelining pay off even on a
+// single core, where concurrent writers never actually overlap on the
+// write lock. The flusher exits after its one flush, so an idle writer
+// holds no goroutine.
 //
 // Frames are encoded directly into the writer's buffer (no per-connection
 // scratch-then-copy step): each frame reserves its 4-byte length prefix,
@@ -55,8 +57,7 @@ type frameWriter struct {
 	extLen   int         // total bytes across exts
 	mixed    bool        // metas span more than one group
 	err      error       // sticky; the conn is broken once set
-	armed    bool        // flusher has been kicked and will flush
-	closed   bool        // done has been closed
+	armed    bool        // a flushSoon goroutine is started and will flush
 	frames   int         // frames buffered since the last batch was taken
 	hot      bool        // the flusher is batching: skip inline flushes
 	flushing bool        // a taken batch is being written outside mu
@@ -76,13 +77,12 @@ type frameWriter struct {
 	// Write-side scratch, touched only by the goroutine that owns the
 	// in-flight batch (flushing guarantees there is at most one).
 	vecs     net.Buffers
+	sending  net.Buffers // the header copy of vecs that WriteTo consumes
 	wrrOrder []uint64
 	wrrPos   []int
 	wrrIdx   map[uint64][]int
 	giCache  map[uint64]*groupInstruments
-
-	kick chan struct{}
-	done chan struct{}
+	deadline time.Time // the socket's armed write deadline (see setWriteDeadline)
 
 	// timeout bounds each socket write/flush so one stalled peer cannot
 	// pin writers (or the flusher) forever.
@@ -141,16 +141,12 @@ const (
 )
 
 func newFrameWriter(conn net.Conn, timeout func() time.Duration, limit int, obs *instruments) *frameWriter {
-	w := &frameWriter{
+	return &frameWriter{
 		conn:    conn,
 		limit:   limit,
-		kick:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
 		timeout: timeout,
 		obs:     obs,
 	}
-	go w.flushLoop()
-	return w
 }
 
 // writeRequest encodes and writes one request frame; writeResponse does
@@ -159,9 +155,9 @@ func newFrameWriter(conn net.Conn, timeout func() time.Duration, limit int, obs 
 // mu with no per-call closure allocation.
 //
 // inlineFlush says the caller believes no other writer is active, so the
-// frame should hit the socket now; otherwise the flush is left to the
-// flusher (or to a later inline writer). On a hot connection — the last
-// flush batched multiple frames — the inline hint is ignored: under
+// frame should hit the socket now; otherwise the flush is left to a
+// flusher goroutine (or to a later inline writer). On a hot connection —
+// the last flush batched multiple frames — the inline hint is ignored: under
 // pipelined load the "sole active writer" heuristic misfires once per
 // burst (the first caller of a new burst sees an empty pending set), and
 // deferring to the flusher folds that stray frame into the burst's single
@@ -308,10 +304,7 @@ func (w *frameWriter) sealFrame(gid uint64, lenPos, extMark, extLenMark int, inl
 	}
 	if !w.armed {
 		w.armed = true
-		select {
-		case w.kick <- struct{}{}:
-		default:
-		}
+		go w.flushSoon()
 	}
 	w.mu.Unlock()
 	return nil
@@ -350,7 +343,12 @@ func (w *frameWriter) writeBatch(b batch) error {
 			// synchronization annotation.
 			_, err = w.conn.Write(w.vecs[0])
 		} else {
-			_, err = w.vecs.WriteTo(w.conn) // writev on TCP conns
+			// WriteTo consumes its receiver down to an empty slice at the
+			// end of the array; writing through a copy of the header keeps
+			// w.vecs' capacity for the next batch. The copy is a field, as
+			// a local would escape through WriteTo's pointer receiver.
+			w.sending = w.vecs
+			_, err = w.sending.WriteTo(w.conn) // writev on TCP conns
 		}
 		for i := range w.vecs {
 			w.vecs[i] = nil
@@ -485,8 +483,8 @@ func (w *frameWriter) accountGroups(b *batch) {
 
 // finishBatch returns a written batch's storage to the writer, settles the
 // quota accounting, and decides what happens next: fail the writer on a
-// socket error, or re-kick the flusher if frames accumulated while the
-// batch was in flight.
+// socket error, or start a flusher if frames accumulated while the batch
+// was in flight.
 func (w *frameWriter) finishBatch(b batch, err error) {
 	w.mu.Lock()
 	w.flushing = false
@@ -509,10 +507,7 @@ func (w *frameWriter) finishBatch(b batch, err error) {
 		w.fail(err)
 	} else if w.frames > 0 && !w.armed && w.err == nil {
 		w.armed = true
-		select {
-		case w.kick <- struct{}{}:
-		default:
-		}
+		go w.flushSoon()
 	}
 	w.mu.Unlock()
 }
@@ -528,10 +523,25 @@ func (w *frameWriter) releaseExtsLocked() {
 	w.extLen = 0
 }
 
+// setWriteDeadline makes sure the socket's write deadline leaves at least
+// one timeout for the batch about to be written. Re-arming the deadline
+// costs a poller update and a timer modification, so it is done lazily:
+// only when less than the timeout remains, and then to now + 1.5 × timeout,
+// which lets a busy writer keep one deadline for half a timeout. A write
+// that makes no progress therefore fails between one and one and a half
+// timeouts after it started. Called only by the batch owner (see
+// writeBatch).
 func (w *frameWriter) setWriteDeadline() {
-	if d := w.timeout(); d > 0 {
-		_ = w.conn.SetWriteDeadline(time.Now().Add(d))
+	d := w.timeout()
+	if d <= 0 {
+		return
 	}
+	now := time.Now()
+	if w.deadline.Sub(now) >= d {
+		return
+	}
+	w.deadline = now.Add(d + d/2)
+	_ = w.conn.SetWriteDeadline(w.deadline)
 }
 
 // fail marks the writer broken and closes the socket, which unblocks the
@@ -547,7 +557,9 @@ func (w *frameWriter) fail(err error) {
 	w.conn.Close()
 }
 
-// close stops the flusher goroutine. The socket is closed by the caller.
+// close drops any buffered frames and fails later writes with ErrClosed; a
+// flusher still starting up finds the error and exits. The socket is closed
+// by the caller.
 func (w *frameWriter) close() {
 	w.mu.Lock()
 	if w.err == nil {
@@ -556,34 +568,24 @@ func (w *frameWriter) close() {
 	w.releaseExtsLocked()
 	w.metas = w.metas[:0]
 	w.frames = 0
-	if !w.closed {
-		w.closed = true
-		close(w.done)
-	}
 	w.mu.Unlock()
 }
 
-// flushLoop is the backstop flusher: after a kick it yields a few times so
-// every already-runnable writer can append its frame, then flushes the
-// whole batch in one syscall. If an inline writer has a batch in flight the
-// kick is a no-op — that writer's finishBatch re-kicks if frames remain.
-func (w *frameWriter) flushLoop() {
-	for {
-		select {
-		case <-w.kick:
-		case <-w.done:
-			return
-		}
-		runtime.Gosched()
-		runtime.Gosched()
-		w.mu.Lock()
-		w.armed = false
-		if w.err != nil || w.flushing || w.frames == 0 {
-			w.mu.Unlock()
-			continue
-		}
-		b := w.takeBatchLocked()
+// flushSoon is the backstop flusher, started by a writer that leaves a
+// frame buffered: it yields a couple of times so every already-runnable
+// writer can append its frame, flushes the whole batch in one syscall, and
+// exits. If an inline writer has a batch in flight the flusher only
+// disarms — that writer's finishBatch starts a new one if frames remain.
+func (w *frameWriter) flushSoon() {
+	runtime.Gosched()
+	runtime.Gosched()
+	w.mu.Lock()
+	w.armed = false
+	if w.err != nil || w.flushing || w.frames == 0 {
 		w.mu.Unlock()
-		w.writeBatch(b)
+		return
 	}
+	b := w.takeBatchLocked()
+	w.mu.Unlock()
+	w.writeBatch(b)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Wire format. A connection starts with a 4-byte preamble from the dialer —
@@ -78,33 +79,24 @@ func readPreamble(r io.Reader) error {
 	return nil
 }
 
-// readFrame reads one length-prefixed frame body into buf (growing it as
-// needed) and returns the body slice, which is only valid until the next
-// call with the same buf.
-func readFrame(r *bufio.Reader, buf []byte) (body, next []byte, err error) {
-	var lenb [4]byte
-	if _, err := io.ReadFull(r, lenb[:]); err != nil {
-		return nil, buf, err
-	}
-	n := binary.BigEndian.Uint32(lenb[:])
-	if n < frameHeaderSize || n > maxFrameSize {
-		return nil, buf, fmt.Errorf("transport: frame length %d out of range", n)
-	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	body = buf[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, buf, err
-	}
-	return body, buf, nil
-}
+// readBufSize is each connection end's read buffer. It holds a whole frame
+// of the common traffic with room to spare — a 1 KiB multicast payload plus
+// its request head is about 1.13 KiB on the wire, so three fit — so a burst
+// of small pipelined frames still costs one read syscall per buffer fill,
+// while an idle connection (most of a member's c_x-scaled neighbour set)
+// pins 4 KiB instead of a bulk-sized buffer. Frames larger than the bytes
+// already buffered do not stage here: readFrame copies what is buffered and
+// reads the rest straight into the frame's blob, at the cost of one extra
+// read per frame above this size.
+const readBufSize = 4 << 10
 
-// readFrameBlob reads one length-prefixed frame body directly into a
-// pooled blob, so a bulk payload travels socket -> blob with no staging
-// copy (bufio hands reads larger than its remaining buffer straight to the
-// socket). The caller owns the returned blob's single reference.
-func readFrameBlob(r *bufio.Reader) (*Blob, error) {
+// readFrame reads one length-prefixed frame body directly into a pooled
+// blob, so a bulk payload travels socket -> blob with no staging copy
+// (bufio hands reads at least as large as its buffer straight to the
+// socket). It is the one frame reader of both connection ends: requests
+// are served out of the blob, responses are decoded from it and released.
+// The caller owns the returned blob's single reference.
+func readFrame(r *bufio.Reader) (*Blob, error) {
 	var lenb [4]byte
 	if _, err := io.ReadFull(r, lenb[:]); err != nil {
 		return nil, err
@@ -172,7 +164,9 @@ func frameHeader(body []byte) (frameType byte, callID, gid uint64, rest []byte, 
 // being copied again. The caller owns one reference on body and releases
 // it when the request is fully served; payload is a view into it. from and
 // kind are copied out (handlers may retain them past the blob's release);
-// to is a transient view only used for the endpoint lookup.
+// to is a transient view only used for the endpoint lookup. Requests are
+// pooled (see getRequest) so a connection's dispatch queue holds pointers,
+// not a worker bound's worth of these structs.
 type parsedRequest struct {
 	callID  uint64
 	gid     uint64
@@ -183,13 +177,24 @@ type parsedRequest struct {
 	body    *Blob
 }
 
+var requestPool = sync.Pool{New: func() any { return new(parsedRequest) }}
+
+// getRequest returns a zeroed request from the pool; putRequest clears req
+// (dropping its views) and returns it.
+func getRequest() *parsedRequest { return requestPool.Get().(*parsedRequest) }
+
+func putRequest(req *parsedRequest) {
+	*req = parsedRequest{}
+	requestPool.Put(req)
+}
+
 // parseRequest decodes a request frame body (rest, the blob's bytes after
-// the frame header). Ownership of the caller's blob reference transfers:
-// on success the returned request holds it, on error parseRequest releases
-// it.
-func parseRequest(callID, gid uint64, rest []byte, blob *Blob) (parsedRequest, error) {
+// the frame header) into req. Ownership of the caller's blob reference
+// transfers: on success req holds it, on error parseRequest releases it and
+// leaves req zeroed.
+func parseRequest(req *parsedRequest, callID, gid uint64, rest []byte, blob *Blob) error {
 	r := NewWireReader(rest)
-	req := parsedRequest{
+	*req = parsedRequest{
 		callID: callID,
 		gid:    gid,
 		from:   r.String(),
@@ -197,16 +202,17 @@ func parseRequest(callID, gid uint64, rest []byte, blob *Blob) (parsedRequest, e
 		kind:   r.String(),
 		body:   blob,
 	}
-	if r.err != nil {
-		blob.Release()
-		return parsedRequest{}, r.err
+	err := r.err
+	if err == nil && r.off >= len(rest) {
+		err = fmt.Errorf("%w: request without payload", ErrWireDecode)
 	}
-	if r.off >= len(rest) {
+	if err != nil {
 		blob.Release()
-		return parsedRequest{}, fmt.Errorf("%w: request without payload", ErrWireDecode)
+		*req = parsedRequest{}
+		return err
 	}
 	req.payload = rest[r.off:]
-	return req, nil
+	return nil
 }
 
 // parseResponse decodes a response frame body (after the frame header),

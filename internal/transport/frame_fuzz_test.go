@@ -60,8 +60,8 @@ func FuzzParseFrame(f *testing.F) {
 		}
 		switch frameType {
 		case frameRequest:
-			pr, err := parseRequest(callID, gid, rest, blob)
-			if err != nil {
+			var pr parsedRequest
+			if err := parseRequest(&pr, callID, gid, rest, blob); err != nil {
 				return // parseRequest released the blob
 			}
 			if decoded, err := decodePayloadOwned(pr.payload, pr.body, nil); err == nil {
@@ -79,11 +79,12 @@ func FuzzParseFrame(f *testing.F) {
 	})
 }
 
-// FuzzReadFrame differentially fuzzes the two stream readers: the
-// scratch-buffer reader and the direct-to-blob reader must accept and
-// reject exactly the same streams and yield identical frame bodies — the
-// blob reader runs on a deliberately tiny bufio buffer so large bodies
-// exercise its direct-read path.
+// FuzzReadFrame checks the stream frame reader against a reference decode
+// of the same bytes: readFrame must yield exactly the frames a plain walk
+// over the length prefixes finds, and fail exactly where that walk finds a
+// short or out-of-range frame. It runs once on the connections' read buffer
+// and once on bufio's 16-byte minimum, so bodies both smaller and larger
+// than the buffered bytes take the direct-to-blob read path.
 func FuzzReadFrame(f *testing.F) {
 	var stream []byte
 	var lenb [4]byte
@@ -93,27 +94,45 @@ func FuzzReadFrame(f *testing.F) {
 	stream = append(stream, make([]byte, 8+3)...)
 	f.Add(stream)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0})
+	big := make([]byte, 4+readBufSize+1)
+	binary.BigEndian.PutUint32(big, readBufSize+1)
+	f.Add(append(append([]byte(nil), stream...), big...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		br := bufio.NewReader(bytes.NewReader(data))
-		bbr := bufio.NewReaderSize(bytes.NewReader(data), 16)
-		var buf []byte
-		for {
-			body, next, err := readFrame(br, buf)
-			blob, berr := readFrameBlob(bbr)
-			if (err == nil) != (berr == nil) {
-				t.Fatalf("reader disagreement: readFrame err=%v readFrameBlob err=%v", err, berr)
+		// The reference: frames are whatever a walk over well-formed
+		// length prefixes covers; anything else ends the stream in error
+		// (or cleanly, at a frame boundary).
+		var want [][]byte
+		rest := data
+		for len(rest) >= 4 {
+			n := binary.BigEndian.Uint32(rest)
+			if n < frameHeaderSize || n > maxFrameSize || uint64(len(rest)-4) < uint64(n) {
+				break
 			}
-			if err != nil {
-				return
+			want = append(want, rest[4:4+n])
+			rest = rest[4+n:]
+		}
+		for _, size := range []int{readBufSize, 16} {
+			br := bufio.NewReaderSize(bytes.NewReader(data), size)
+			for i := 0; ; i++ {
+				blob, err := readFrame(br)
+				if i == len(want) {
+					if err == nil {
+						blob.Release()
+						t.Fatalf("buffer %d: frame %d read past the reference's %d frames", size, i, len(want))
+					}
+					if len(rest) == 0 && err != io.EOF {
+						t.Fatalf("buffer %d: clean stream end read as %v", size, err)
+					}
+					break
+				}
+				if err != nil {
+					t.Fatalf("buffer %d: frame %d: %v", size, i, err)
+				}
+				if !bytes.Equal(blob.Bytes(), want[i]) {
+					t.Fatalf("buffer %d: frame %d body differs from the reference", size, i)
+				}
+				blob.Release()
 			}
-			buf = next
-			if len(body) < frameHeaderSize {
-				t.Fatalf("readFrame returned %d-byte body, below the header minimum", len(body))
-			}
-			if !bytes.Equal(body, blob.Bytes()) {
-				t.Fatalf("readFrameBlob body differs from readFrame body")
-			}
-			blob.Release()
 		}
 	})
 }
@@ -177,9 +196,9 @@ func FuzzScatterGatherFrame(f *testing.F) {
 		}
 
 		// And it must read back as the payload that went in.
-		blob, err := readFrameBlob(bufio.NewReader(bytes.NewReader(wire)))
+		blob, err := readFrame(bufio.NewReaderSize(bytes.NewReader(wire), readBufSize))
 		if err != nil {
-			t.Fatalf("readFrameBlob: %v", err)
+			t.Fatalf("readFrame: %v", err)
 		}
 		frameType, callID, gid, rest, err := frameHeader(blob.Bytes())
 		if err != nil {
@@ -188,8 +207,8 @@ func FuzzScatterGatherFrame(f *testing.F) {
 		if frameType != frameRequest || callID != 42 || gid != 3 {
 			t.Fatalf("frame header = (%d, %d, %d), want (request, 42, 3)", frameType, callID, gid)
 		}
-		pr, err := parseRequest(callID, gid, rest, blob)
-		if err != nil {
+		var pr parsedRequest
+		if err := parseRequest(&pr, callID, gid, rest, blob); err != nil {
 			t.Fatalf("parseRequest: %v", err)
 		}
 		decoded, err := decodePayloadOwned(pr.payload, pr.body, nil)

@@ -174,24 +174,27 @@ func (c *muxConn) expire(now time.Time) time.Time {
 // connection dies, then fails whatever is still in flight.
 func (c *muxConn) readLoop() {
 	defer c.t.wg.Done()
-	br := bufio.NewReaderSize(c.conn, 64*1024)
-	var buf []byte
+	br := bufio.NewReaderSize(c.conn, readBufSize)
 	for {
-		body, next, err := readFrame(br, buf)
+		blob, err := readFrame(br)
 		if err != nil {
 			c.t.dropConn(c.to, c)
 			c.fail(fmt.Errorf("transport: connection to %s lost: %w", c.to, err))
 			return
 		}
-		buf = next
+		body := blob.Bytes()
 		c.t.obs.bytesRecv.Add(uint64(len(body)) + 4)
 		frameType, callID, _, rest, err := frameHeader(body)
 		if err != nil || frameType != frameResponse {
+			blob.Release()
 			c.t.dropConn(c.to, c)
 			c.fail(fmt.Errorf("transport: bad frame from %s (type %d, %v)", c.to, frameType, err))
 			return
 		}
+		// The copying decoder keeps nothing that aliases the frame, so
+		// the blob goes back to its pool before the call completes.
 		payload, errMsg, errCode, err := parseResponse(rest)
+		blob.Release()
 		res := callResult{payload: payload, errMsg: errMsg, errCode: errCode}
 		if err != nil {
 			// One undecodable response poisons only its own call; the

@@ -22,7 +22,7 @@ import (
 type serverConn struct {
 	t        *TCP
 	w        *frameWriter
-	reqs     chan parsedRequest
+	reqs     chan *parsedRequest
 	inflight atomic.Int32 // requests dispatched but not yet responded to
 }
 
@@ -34,7 +34,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 		delete(t.accepted, conn)
 		t.mu.Unlock()
 	}()
-	br := bufio.NewReaderSize(conn, 64*1024)
+	br := bufio.NewReaderSize(conn, readBufSize)
 	if err := readPreamble(br); err != nil {
 		return // wrong protocol or version; drop the peer
 	}
@@ -45,7 +45,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 	// which is what lets the last finishing worker flush all the responses
 	// in one syscall. A full queue (maxWorkers executing + maxWorkers
 	// queued) blocks the decode loop, which is the per-connection bound.
-	s := &serverConn{t: t, w: newFrameWriter(conn, t.rpcTimeout, t.GroupBacklogLimit, &t.obs), reqs: make(chan parsedRequest, maxWorkers)}
+	s := &serverConn{t: t, w: newFrameWriter(conn, t.rpcTimeout, t.GroupBacklogLimit, &t.obs), reqs: make(chan *parsedRequest, maxWorkers)}
 	defer s.w.close()
 
 	spawned := 0
@@ -54,7 +54,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 	defer close(s.reqs) // workers exit once the queue drains
 
 	for {
-		blob, err := readFrameBlob(br)
+		blob, err := readFrame(br)
 		if err != nil {
 			return // peer closed or garbage framing
 		}
@@ -65,8 +65,9 @@ func (t *TCP) serveConn(conn net.Conn) {
 			blob.Release()
 			return
 		}
-		req, err := parseRequest(callID, gid, rest, blob)
-		if err != nil {
+		req := getRequest()
+		if err := parseRequest(req, callID, gid, rest, blob); err != nil {
+			putRequest(req)
 			// The frame boundary is intact, so only this call is
 			// poisoned: answer it with an error and keep serving.
 			s.respond(callID, gid, fmt.Sprintf("transport: bad request: %v", err), 0, nil, true)
@@ -103,6 +104,7 @@ func (s *serverConn) worker(wg *sync.WaitGroup) {
 			pr.ReleasePayload()
 		}
 		req.body.Release()
+		putRequest(req)
 	}
 }
 
@@ -110,7 +112,7 @@ func (s *serverConn) worker(wg *sync.WaitGroup) {
 // the response to write — error text plus its wire status code — and the
 // decoded payload (so the worker can release a blob-backed payload after
 // the response is out).
-func (s *serverConn) handle(req parsedRequest) (errMsg string, errCode uint64, payload, decoded any) {
+func (s *serverConn) handle(req *parsedRequest) (errMsg string, errCode uint64, payload, decoded any) {
 	decoded, err := decodePayloadOwned(req.payload, req.body, s.t.obs.encodes)
 	if err != nil {
 		return fmt.Sprintf("transport: bad payload: %v", err), 0, nil, nil
@@ -137,6 +139,9 @@ func (s *serverConn) handle(req parsedRequest) (errMsg string, errCode uint64, p
 // fast instead of timing out.
 func (s *serverConn) respond(callID, gid uint64, errMsg string, errCode uint64, payload any, inline bool) {
 	err := s.w.writeResponse(callID, gid, errMsg, errCode, payload, inline)
+	if err == nil {
+		return
+	}
 	var encErr *encodeError
 	if errors.As(err, &encErr) {
 		_ = s.w.writeResponse(callID, gid, fmt.Sprintf("transport: encode response: %v", encErr.Unwrap()), 0, nil, inline)

@@ -46,7 +46,11 @@ type TCP struct {
 	// the multiplexed socket carries other calls, so no socket-wide read
 	// deadline is involved). A context deadline on Call tightens it
 	// further per call. A timed-out call fails without tearing down the
-	// shared connection. Default 10s.
+	// shared connection. It also bounds socket writes: the write deadline
+	// is re-armed only when less than RPCTimeout of it remains, and then to
+	// 1.5 × RPCTimeout, so a write that makes no progress fails the
+	// connection between RPCTimeout and 1.5 × RPCTimeout after it started.
+	// Default 10s.
 	RPCTimeout time.Duration
 	// ServerWorkers bounds concurrently running handlers per accepted
 	// connection. Mutable before first use; default 32.
