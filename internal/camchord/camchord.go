@@ -12,8 +12,9 @@
 //
 // This package is the simulator-mode implementation: it resolves "the node
 // responsible for identifier y" against a static topology.Ring snapshot. The
-// dynamic runtime in internal/runtime reuses the same neighbor and segment
-// arithmetic through the exported helpers.
+// dynamic runtime in internal/runtime builds its routing table from Slots
+// and splits its multicast segments with Plan, so the two differ only in
+// how that question is answered.
 package camchord
 
 import (
@@ -88,6 +89,41 @@ func (n *Network) Ring() *topology.Ring { return n.ring }
 // Capacity returns the capacity of the node at ring position pos.
 func (n *Network) Capacity(pos int) int { return n.caps[pos] }
 
+// Slot is one neighbour slot x_{i,j} = x + j·c^i of Section 3.1: level
+// i, sequence number j ∈ [1, c), and the slot's offset j·c^i from x.
+type Slot struct {
+	Level  int
+	Seq    uint64
+	Offset uint64
+}
+
+// ID returns the slot's neighbour identifier for the node x.
+func (sl Slot) ID(s ring.Space, x ring.ID) ring.ID { return s.Add(x, sl.Offset) }
+
+// Index returns the slot's position in the ladder Slots enumerates for
+// capacity c: every level below the last is full, so it is i·(c-1)+j-1.
+func (sl Slot) Index(c int) int { return sl.Level*(c-1) + int(sl.Seq) - 1 }
+
+// Slots calls yield for every neighbour slot of a node of capacity c in
+// space s, in ascending (i, j) order: the offsets j·c^i below the size of
+// the space. The k-th call is the slot whose Index is k. yield must not
+// retain the callback's arguments beyond the call.
+func Slots(s ring.Space, c int, yield func(Slot)) {
+	cc := uint64(c)
+	for i, pow := 0, uint64(1); pow < s.Size(); i, pow = i+1, pow*cc {
+		for j := uint64(1); j <= cc-1; j++ {
+			d := j * pow
+			if d >= s.Size() {
+				break
+			}
+			yield(Slot{Level: i, Seq: j, Offset: d})
+		}
+		if pow > s.Size()/cc { // next multiply would overflow past the space
+			break
+		}
+	}
+}
+
 // NeighborIDs enumerates the neighbor identifiers x_{i,j} of the node at
 // ring position pos, in ascending (i, j) order. This is the full identifier
 // list of Section 3.1; several identifiers may resolve to the same physical
@@ -95,20 +131,8 @@ func (n *Network) Capacity(pos int) int { return n.caps[pos] }
 func (n *Network) NeighborIDs(pos int) []ring.ID {
 	s := n.ring.Space()
 	x := n.ring.IDAt(pos)
-	c := uint64(n.caps[pos])
-	out := make([]ring.ID, 0, 4*int(c))
-	for pow := uint64(1); pow < s.Size(); pow *= c {
-		for j := uint64(1); j <= c-1; j++ {
-			d := j * pow
-			if d >= s.Size() {
-				break
-			}
-			out = append(out, s.Add(x, d))
-		}
-		if pow > s.Size()/c { // next multiply would overflow past the space
-			break
-		}
-	}
+	out := make([]ring.ID, 0, 4*n.caps[pos])
+	Slots(s, n.caps[pos], func(sl Slot) { out = append(out, sl.ID(s, x)) })
 	return out
 }
 
@@ -135,28 +159,18 @@ func (n *Network) NeighborNodes(pos int) []int {
 func (n *Network) AppendNeighborNodes(dst []int, pos int) []int {
 	s := n.ring.Space()
 	x := n.ring.IDAt(pos)
-	c := uint64(n.caps[pos])
 	sc := neighborScratch.Get().(*neighborSet)
 	seen := sc.seen[:0]
-	for pow := uint64(1); pow < s.Size(); pow *= c {
-		for j := uint64(1); j <= c-1; j++ {
-			d := j * pow
-			if d >= s.Size() {
-				break
-			}
-			p := n.ring.Responsible(s.Add(x, d))
-			if p == pos {
-				continue
-			}
-			if i, ok := slices.BinarySearch(seen, p); !ok {
-				seen = slices.Insert(seen, i, p)
-				dst = append(dst, p)
-			}
+	Slots(s, n.caps[pos], func(sl Slot) {
+		p := n.ring.Responsible(sl.ID(s, x))
+		if p == pos {
+			return
 		}
-		if pow > s.Size()/c { // next multiply would overflow past the space
-			break
+		if i, ok := slices.BinarySearch(seen, p); !ok {
+			seen = slices.Insert(seen, i, p)
+			dst = append(dst, p)
 		}
-	}
+	})
 	sc.seen = seen
 	neighborScratch.Put(sc)
 	return dst
@@ -249,9 +263,88 @@ func (n *Network) BuildTreeInto(tree *multicast.Tree, src int) error {
 	return n.buildInto(tree, src)
 }
 
+// Child is one child of the invocation x.MULTICAST(msg, k) (Lines 6-15 of
+// Section 3.4): the identifier Y whose responsible node becomes the child,
+// and the end of the segment (child, SegEnd] delegated to it. Slot is the
+// neighbour slot holding Y, or, when Succ is set, the child is the
+// successor x̂_{0,1} (Line 15) and Slot is zero. Width is the slot's span
+// of identifiers, c^i at level i and 1 for the successor: the Section 5.2
+// freedom in choosing the neighbour.
+type Child struct {
+	Y, SegEnd ring.ID
+	Slot      Slot
+	Succ      bool
+	Width     uint64
+}
+
+// Plan splits the segment (x, k] of a node x with capacity c across up to
+// c children, calling yield for each in dispatch order: the level-i
+// neighbours preceding k, highest first (Lines 6-9); then c - j - 1
+// level-(i-1) neighbours placed by spacing (Lines 10-14); then the
+// successor (Line 15). Each child's segment ends where the previous one
+// began, so the children partition (x, k]. The split is pure ring
+// arithmetic: a child whose responsible node lies outside its segment
+// (an empty segment) is the caller's to skip. yield must not retain the
+// callback's arguments beyond the call.
+func Plan(s ring.Space, x, k ring.ID, c int, spacing Spacing, yield func(Child)) {
+	if s.Dist(x, k) == 0 {
+		return
+	}
+	cc := uint64(c)
+	child := func(y ring.ID, sl Slot, succ bool, width uint64) {
+		if !s.InOC(y, x, k) {
+			return
+		}
+		yield(Child{Y: y, SegEnd: k, Slot: sl, Succ: succ, Width: width})
+		k = s.Sub(y, 1)
+	}
+
+	level, seq, pow := s.LevelSeq(x, k, cc)
+	// Lines 6-9: level-i neighbors preceding k, highest first.
+	for m := seq; m >= 1; m-- {
+		child(s.Add(x, m*pow), Slot{Level: int(level), Seq: m, Offset: m * pow}, false, pow)
+	}
+
+	// Lines 10-14: fill the remaining capacity with (c - seq - 1)
+	// level-(i-1) neighbors. The paper's pseudo-code writes x̂_{i-1,⌊l⌋}
+	// for the even spacing over [1, c), but its own worked example
+	// (x̂_{2,2} for c=3, j=1, where l = 3 - 3/2 = 1.5) is consistent only
+	// with rounding l up, so we use the ceiling.
+	if level >= 1 {
+		prevPow := pow / cc
+		lower := func(j uint64) {
+			child(s.Add(x, j*prevPow), Slot{Level: int(level) - 1, Seq: j, Offset: j * prevPow}, false, prevPow)
+		}
+		switch spacing {
+		case SpacingEven:
+			l := float64(c)
+			step := float64(c) / float64(cc-seq)
+			for m := int64(c) - int64(seq) - 1; m >= 1; m-- {
+				l -= step
+				j := uint64(math.Ceil(l))
+				if j < 1 {
+					j = 1
+				}
+				lower(j)
+			}
+		case SpacingContiguous:
+			// Ablation baseline: take the (c-seq-1) highest sequence
+			// numbers back to back, clustering children near the top of
+			// the remaining segment.
+			for j := cc - 1; j > seq && j >= 1; j-- {
+				lower(j)
+			}
+		}
+	}
+
+	// Line 15: the successor x̂_{0,1}.
+	child(s.Add(x, 1), Slot{}, true, 1)
+}
+
 // buildInto simulates the collective recursion with an explicit work queue;
-// each queue entry is one invocation x.MULTICAST(msg, k). tree must already
-// be rooted at src.
+// each queue entry is one invocation x.MULTICAST(msg, k), which forwards to
+// the node responsible for each planned child's identifier when that node
+// lies inside the child's segment. tree must already be rooted at src.
 func (n *Network) buildInto(tree *multicast.Tree, src int) error {
 	s := n.ring.Space()
 
@@ -261,81 +354,19 @@ func (n *Network) buildInto(tree *multicast.Tree, src int) error {
 	// The source initiates delivery to (x, x-1], i.e. the whole ring but x.
 	queue = append(queue, task{node: src, k: s.Sub(n.ring.IDAt(src), 1)})
 
-	for head := 0; head < len(queue); head++ {
-		t := queue[head]
-		x := t.node
+	var err error
+	for head := 0; head < len(queue) && err == nil; head++ {
+		x := queue[head].node
 		xid := n.ring.IDAt(x)
-		c := uint64(n.caps[x])
-		k := t.k
-		if s.Dist(xid, k) == 0 {
-			continue // empty segment: nothing left to cover
-		}
-
-		// send forwards msg to the node responsible for identifier y,
-		// assigning it the remaining segment, then shrinks the segment to
-		// (x, y-1]. It skips identifiers whose responsible node lies outside
-		// the remaining segment (no member nodes are there to cover).
-		send := func(y ring.ID) error {
-			if s.Dist(xid, k) == 0 || !s.InOC(y, xid, k) {
-				return nil
+		Plan(s, xid, queue[head].k, n.caps[x], n.spacing, func(ch Child) {
+			z := n.ring.Responsible(ch.Y)
+			if err != nil || z == x || !s.InOC(n.ring.IDAt(z), xid, ch.SegEnd) {
+				return
 			}
-			z := n.ring.Responsible(y)
-			if z != x && s.InOC(n.ring.IDAt(z), xid, k) {
-				if err := tree.Deliver(x, z); err != nil {
-					return err
-				}
-				queue = append(queue, task{node: z, k: k})
+			if err = tree.Deliver(x, z); err == nil {
+				queue = append(queue, task{node: z, k: ch.SegEnd})
 			}
-			k = s.Sub(y, 1)
-			return nil
-		}
-
-		level, seq, pow := s.LevelSeq(xid, k, c)
-
-		// Lines 6-9: level-i neighbors preceding k, highest first.
-		for m := seq; m >= 1; m-- {
-			if err := send(s.Add(xid, m*pow)); err != nil {
-				return err
-			}
-		}
-
-		// Lines 10-14: fill the remaining capacity with (c - seq - 1)
-		// level-(i-1) neighbors, evenly spaced over [1, c). The paper's
-		// pseudo-code writes x̂_{i-1,⌊l⌋}, but its own worked example
-		// (x̂_{2,2} for c=3, j=1, where l = 3 - 3/2 = 1.5) is consistent
-		// only with rounding l up, so we use the ceiling.
-		if level >= 1 {
-			prevPow := pow / c
-			switch n.spacing {
-			case SpacingEven:
-				l := float64(c)
-				step := float64(c) / float64(c-seq)
-				for m := int64(c) - int64(seq) - 1; m >= 1; m-- {
-					l -= step
-					j := uint64(math.Ceil(l))
-					if j < 1 {
-						j = 1
-					}
-					if err := send(s.Add(xid, j*prevPow)); err != nil {
-						return err
-					}
-				}
-			case SpacingContiguous:
-				// Ablation baseline: take the (c-seq-1) highest sequence
-				// numbers back to back, clustering children near the top of
-				// the remaining segment.
-				for j := c - 1; j > seq && j >= 1; j-- {
-					if err := send(s.Add(xid, j*prevPow)); err != nil {
-						return err
-					}
-				}
-			}
-		}
-
-		// Line 15: the successor x̂_{0,1}.
-		if err := send(s.Add(xid, 1)); err != nil {
-			return err
-		}
+		})
 	}
-	return nil
+	return err
 }

@@ -409,6 +409,56 @@ func TestAppendNeighborNodesAllocFree(t *testing.T) {
 	}
 }
 
+// TestSlotIndexMatchesLadder: Slot.Index is the closed form of the slot's
+// position in the ladder Slots enumerates, including a partial last level,
+// and every child Plan names a slot with its ladder offset.
+func TestSlotIndexMatchesLadder(t *testing.T) {
+	for _, bits := range []uint{6, 12, 32} {
+		s := ring.MustSpace(bits)
+		for c := 2; c <= 40; c++ {
+			var ladder []Slot
+			Slots(s, c, func(sl Slot) {
+				if got := sl.Index(c); got != len(ladder) {
+					t.Fatalf("bits %d c %d: slot %+v has Index %d, enumerated at %d", bits, c, sl, got, len(ladder))
+				}
+				ladder = append(ladder, sl)
+			})
+			x := s.Reduce(0x9e3779b97f4a7c15)
+			for _, k := range []ring.ID{s.Sub(x, 1), s.Add(x, 7), s.Add(x, s.Size()/3)} {
+				Plan(s, x, k, c, SpacingEven, func(ch Child) {
+					if ch.Succ {
+						return
+					}
+					if i := ch.Slot.Index(c); i >= len(ladder) || ladder[i] != ch.Slot || ch.Slot.ID(s, x) != ch.Y {
+						t.Fatalf("bits %d c %d: child %+v names no ladder slot", bits, c, ch)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestPlanAllocFree gates the segment planner the live runtime calls once
+// per spread: planning into a caller-owned buffer allocates nothing.
+func TestPlanAllocFree(t *testing.T) {
+	n := randomNetwork(t, 32, 200, 2, 33, 12)
+	s := n.Ring().Space()
+	buf := make([]Child, 0, 64)
+	pos := 0
+	avg := testing.AllocsPerRun(100, func() {
+		buf = buf[:0]
+		x := n.Ring().IDAt(pos)
+		Plan(s, x, s.Sub(x, 1), n.Capacity(pos), SpacingEven, func(ch Child) { buf = append(buf, ch) })
+		pos = (pos + 1) % n.Ring().Len()
+	})
+	if raceEnabled {
+		t.Skipf("race instrumentation allocates (%.1f per call); the gate runs without -race", avg)
+	}
+	if avg > 0 {
+		t.Fatalf("Plan allocates %.1f times per call, want 0", avg)
+	}
+}
+
 // BenchmarkNeighborNodes measures neighbor resolution as the experiment
 // engine's lookup sweeps drive it: every position in turn, one reused
 // buffer.

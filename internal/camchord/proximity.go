@@ -1,11 +1,6 @@
 package camchord
 
-import (
-	"math"
-
-	"camcast/internal/multicast"
-	"camcast/internal/ring"
-)
+import "camcast/internal/multicast"
 
 // This file implements Proximity Neighbor Selection (PNS), the Section 5.2
 // extension: "A node x can choose any node whose identifier belongs to the
@@ -48,39 +43,26 @@ func (n *Network) BuildTreeProximity(src int, delay DelayFunc, sample int) (*mul
 	delays := make([]float64, n.ring.Len())
 	s := n.ring.Space()
 
-	type task struct {
-		node int
-		k    ring.ID
-	}
 	queue := make([]task, 0, n.ring.Len())
 	queue = append(queue, task{node: src, k: s.Sub(n.ring.IDAt(src), 1)})
 
-	for head := 0; head < len(queue); head++ {
-		t := queue[head]
-		x := t.node
+	for head := 0; head < len(queue) && err == nil; head++ {
+		x := queue[head].node
 		xid := n.ring.IDAt(x)
-		c := uint64(n.caps[x])
-		k := t.k
-		if s.Dist(xid, k) == 0 {
-			continue
-		}
-
-		// send picks the least-delay candidate for the slot starting at
-		// identifier y (slot width bounds the candidate window), delivers
-		// to it, covers the skipped members behind it with a predecessor
-		// walk, and shrinks the remaining region to (x, y-1].
-		send := func(y ring.ID, width uint64) error {
-			if s.Dist(xid, k) == 0 || !s.InOC(y, xid, k) {
-				return nil
-			}
+		// Each child picks the least-delay candidate for the slot starting
+		// at its identifier y (the slot width bounds the candidate window),
+		// is delivered to, and covers the skipped members behind it with a
+		// predecessor walk.
+		Plan(s, xid, queue[head].k, n.caps[x], SpacingEven, func(ch Child) {
+			y, k := ch.Y, ch.SegEnd
 			first := n.ring.Responsible(y)
-			if first == x || !s.InOC(n.ring.IDAt(first), xid, k) {
-				k = s.Sub(y, 1)
-				return nil
+			if err != nil || first == x || !s.InOC(n.ring.IDAt(first), xid, k) {
+				return
 			}
 			// Candidate window: up to sample nodes clockwise from y that
-			// stay inside the slot [y, y+width) and the region (x, k].
-			segEnd := s.Add(y, width-1)
+			// stay inside the slot [y, y+width) and the region (x, k]. The
+			// successor slot has width 1: no proximity freedom there.
+			segEnd := s.Add(y, ch.Width-1)
 			if s.Dist(xid, segEnd) > s.Dist(xid, k) {
 				segEnd = k
 			}
@@ -97,8 +79,8 @@ func (n *Network) BuildTreeProximity(src int, delay DelayFunc, sample int) (*mul
 				}
 			}
 
-			if err := tree.Deliver(x, best); err != nil {
-				return err
+			if err = tree.Deliver(x, best); err != nil {
+				return
 			}
 			delays[best] = delays[x] + bestDelay
 			queue = append(queue, task{node: best, k: k})
@@ -107,42 +89,16 @@ func (n *Network) BuildTreeProximity(src int, delay DelayFunc, sample int) (*mul
 			// proximate choice; best forwards to them along predecessors.
 			parent := best
 			for w := n.ring.Predecessor(best); w != x && s.InOC(n.ring.IDAt(w), s.Sub(y, 1), n.ring.IDAt(best)); w = n.ring.Predecessor(w) {
-				if err := tree.Deliver(parent, w); err != nil {
-					return err
+				if err = tree.Deliver(parent, w); err != nil {
+					return
 				}
 				delays[w] = delays[parent] + delay(parent, w)
 				parent = w
 			}
-
-			k = s.Sub(y, 1)
-			return nil
-		}
-
-		level, seq, pow := s.LevelSeq(xid, k, c)
-		for m := seq; m >= 1; m-- {
-			if err := send(s.Add(xid, m*pow), pow); err != nil {
-				return nil, nil, err
-			}
-		}
-		if level >= 1 {
-			prevPow := pow / c
-			l := float64(c)
-			step := float64(c) / float64(c-seq)
-			for m := int64(c) - int64(seq) - 1; m >= 1; m-- {
-				l -= step
-				j := uint64(math.Ceil(l))
-				if j < 1 {
-					j = 1
-				}
-				if err := send(s.Add(xid, j*prevPow), prevPow); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		// The successor slot has width 1: no proximity freedom there.
-		if err := send(s.Add(xid, 1), 1); err != nil {
-			return nil, nil, err
-		}
+		})
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	return tree, delays, nil
 }

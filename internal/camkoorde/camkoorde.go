@@ -21,6 +21,11 @@
 // message to every neighbor that has not already received it; the dedup
 // handshake makes the result an implicit tree (a BFS tree of the neighbor
 // digraph rooted at the source).
+//
+// The group sizes (GroupSizes), the slot recipes (SlotAt, Slot) and the
+// lookup's digit step (NextShift) are exported: the dynamic runtime in
+// internal/runtime builds its routing table and routes its lookups with
+// them.
 package camkoorde
 
 import (
@@ -67,6 +72,71 @@ func (n *Network) Ring() *topology.Ring { return n.ring }
 // Capacity returns the capacity of the node at ring position pos.
 func (n *Network) Capacity(pos int) int { return n.caps[pos] }
 
+// GroupSizes returns the Section 4.1 sizes of the second and third
+// neighbour groups of a node with capacity c, and the second group's shift
+// s = ⌊log2(c-4)⌋: t = 2^s when s > 1 and 0 otherwise, and t' = c-4-t. The
+// third group's shift is s+1. A capacity of 4 or less has only the basic
+// group.
+func GroupSizes(c int) (shift uint, t, tPrime int) {
+	extra := c - 4
+	if extra <= 0 {
+		return 0, 0, 0
+	}
+	shift = ring.Log2Floor(uint64(extra))
+	if shift > 1 {
+		t = 1 << shift
+	}
+	return shift, t, extra - t
+}
+
+// Slot is one de Bruijn neighbour slot of Section 4.1: the identifier
+// Pattern·2^{b-Shift} + x/2^{Shift} of a node x, in neighbour group Group.
+type Slot struct {
+	Group   Group
+	Pattern uint64
+	Shift   uint
+}
+
+// ID returns the slot's neighbour identifier for the node x.
+func (sl Slot) ID(s ring.Space, x ring.ID) ring.ID {
+	return s.TopBits(sl.Pattern, sl.Shift) | s.Shr(x, sl.Shift)
+}
+
+// Index returns the slot's position in the slot list of a node with
+// capacity c (see SlotAt): the basic group's two patterns, then the
+// second group's t, then the third group's t'.
+func (sl Slot) Index(c int) int {
+	switch sl.Group {
+	case GroupBasic:
+		return int(sl.Pattern)
+	case GroupSecond:
+		return 2 + int(sl.Pattern)
+	}
+	_, t, _ := GroupSizes(c)
+	return 2 + t + int(sl.Pattern)
+}
+
+// SlotCount returns how many de Bruijn slots a node with capacity c keeps:
+// the basic group's x/2 and 2^{b-1}+x/2 plus the second and third groups.
+// Its predecessor and successor, the rest of the basic group, are ring
+// pointers rather than slots.
+func SlotCount(c int) int {
+	_, t, tPrime := GroupSizes(c)
+	return 2 + t + tPrime
+}
+
+// SlotAt returns slot i, 0 <= i < SlotCount(c), of a node with capacity c.
+func SlotAt(c, i int) Slot {
+	shift, t, _ := GroupSizes(c)
+	switch {
+	case i < 2:
+		return Slot{Group: GroupBasic, Pattern: uint64(i), Shift: 1}
+	case i < 2+t:
+		return Slot{Group: GroupSecond, Pattern: uint64(i - 2), Shift: shift}
+	}
+	return Slot{Group: GroupThird, Pattern: uint64(i - 2 - t), Shift: shift + 1}
+}
+
 // Groups returns the three neighbor identifier groups of the node at ring
 // position pos, before resolution to physical nodes. The basic group is
 // returned as the identifiers of the predecessor and successor *nodes* plus
@@ -75,33 +145,16 @@ func (n *Network) Groups(pos int) (basic, second, third []ring.ID) {
 	s := n.ring.Space()
 	x := n.ring.IDAt(pos)
 	c := n.caps[pos]
-
-	basic = []ring.ID{
-		n.ring.IDAt(n.ring.Predecessor(pos)),
-		n.ring.IDAt(n.ring.Successor(pos)),
-		s.Shr(x, 1),
-		s.Add(s.Half(), s.Shr(x, 1)),
-	}
-
-	remaining := c - 4
-	if remaining <= 0 {
-		return basic, nil, nil
-	}
-	shift := ring.Log2Floor(uint64(remaining)) // s = ⌊log2(c-4)⌋
-	t := 0
-	if shift > 1 {
-		t = 1 << shift
-		second = make([]ring.ID, 0, t)
-		for i := 0; i < t; i++ {
-			second = append(second, s.TopBits(uint64(i), shift)|s.Shr(x, shift))
-		}
-	}
-	tPrime := remaining - t
-	if tPrime > 0 {
-		sPrime := shift + 1
-		third = make([]ring.ID, 0, tPrime)
-		for i := 0; i < tPrime; i++ {
-			third = append(third, s.TopBits(uint64(i), sPrime)|s.Shr(x, sPrime))
+	basic = []ring.ID{n.ring.IDAt(n.ring.Predecessor(pos)), n.ring.IDAt(n.ring.Successor(pos))}
+	for i, m := 0, SlotCount(c); i < m; i++ {
+		sl := SlotAt(c, i)
+		switch sl.Group {
+		case GroupBasic:
+			basic = append(basic, sl.ID(s, x))
+		case GroupSecond:
+			second = append(second, sl.ID(s, x))
+		case GroupThird:
+			third = append(third, sl.ID(s, x))
 		}
 	}
 	return basic, second, third
@@ -116,11 +169,10 @@ func (n *Network) NeighborNodes(pos int) []int {
 
 // AppendNeighborNodes appends the node's distinct neighbor positions
 // (excluding pos itself) to dst and returns the extended slice. It is the
-// allocation-lean core of NeighborNodes: the three identifier groups of
-// Section 4.1 are resolved on the fly, and duplicates are removed by
-// scanning the appended window (at most c_x entries), so a flood can reuse
-// one buffer across the whole build instead of allocating a map and four
-// slices per visited node.
+// allocation-free core of NeighborNodes: the predecessor, the successor
+// and the node's slots (SlotAt) are resolved on the fly, and duplicates
+// are removed by scanning the appended window (at most c_x entries), so a
+// flood can reuse one buffer across the whole build.
 func (n *Network) AppendNeighborNodes(dst []int, pos int) []int {
 	start := len(dst)
 	add := func(p int) {
@@ -136,26 +188,11 @@ func (n *Network) AppendNeighborNodes(dst []int, pos int) []int {
 	}
 	s := n.ring.Space()
 	x := n.ring.IDAt(pos)
-	// Basic group: predecessor and successor are nodes already; the two
-	// de Bruijn identifiers resolve through Responsible.
+	c := n.caps[pos]
 	add(n.ring.Predecessor(pos))
 	add(n.ring.Successor(pos))
-	add(n.ring.Responsible(s.Shr(x, 1)))
-	add(n.ring.Responsible(s.Add(s.Half(), s.Shr(x, 1))))
-	remaining := n.caps[pos] - 4
-	if remaining > 0 {
-		shift := ring.Log2Floor(uint64(remaining)) // s = ⌊log2(c-4)⌋
-		t := 0
-		if shift > 1 {
-			t = 1 << shift
-			for i := 0; i < t; i++ {
-				add(n.ring.Responsible(s.TopBits(uint64(i), shift) | s.Shr(x, shift)))
-			}
-		}
-		sPrime := shift + 1
-		for i := 0; i < remaining-t; i++ {
-			add(n.ring.Responsible(s.TopBits(uint64(i), sPrime) | s.Shr(x, sPrime)))
-		}
+	for i, m := 0, SlotCount(c); i < m; i++ {
+		add(n.ring.Responsible(SlotAt(c, i).ID(s, x)))
 	}
 	return dst
 }
@@ -200,9 +237,9 @@ func (n *Network) Lookup(from int, k ring.ID) (resp int, path []int) {
 			break // chain exhausted (safety net; the landing above fires first)
 		}
 
-		shift, v := n.nextShift(x, k, injected, b)
-		img = s.TopBits(v, shift) | s.Shr(img, shift)
-		injected += shift
+		sl := NextShift(n.caps[x], k, injected, b)
+		img = sl.ID(s, img)
+		injected += sl.Shift
 		x = n.ring.Responsible(img)
 		path = append(path, x)
 	}
@@ -236,16 +273,8 @@ func (n *Network) Lookup(from int, k ring.ID) (resp int, path []int) {
 	}
 }
 
-// nextShift picks the widest neighbor-group shift available at node x for
-// the next bits of k; see NextShift.
-func (n *Network) nextShift(x int, k ring.ID, injected, b uint) (shift uint, v uint64) {
-	_, shift, v = NextShift(n.caps[x], k, injected, b)
-	return shift, v
-}
-
-// Group identifies which of the Section 4.1 neighbor groups one digit-shift
-// step travels through; callers map it onto however they index their
-// neighbor tables (the live runtime keys slots by (group, pattern)).
+// Group identifies which of the Section 4.1 neighbor groups a slot
+// belongs to.
 type Group int
 
 // The three CAM-Koorde neighbor groups.
@@ -258,40 +287,32 @@ const (
 // NextShift is one digit-shift step of the Section 4.2 LOOKUP chain for a
 // node of capacity c: given that `injected` of target k's bits (counting
 // from bit 0 upward) have already been shifted into the imaginary
-// identifier, it picks the widest neighbor-group shift the capacity affords
-// (third -> second -> basic preference), clamped so the chain never injects
-// past b bits. It returns the group taken, the shift width, and the bit
-// pattern v to place in the top bits: the caller advances its imaginary
-// identifier img to TopBits(v, shift) | Shr(img, shift) and forwards to the
-// neighbor holding that identifier. Callers that only want to resolve the
-// top T bits of k (the live runtime's truncated routing cursor) call with
-// injected = b - left, where left <= T counts the bits still to inject.
-func NextShift(c int, k ring.ID, injected, b uint) (g Group, shift uint, v uint64) {
+// identifier, it returns the slot of the widest shift the capacity affords
+// (third -> second -> basic preference), clamped so the chain never
+// injects past b bits, whose pattern is k's next Shift bits. The caller
+// advances its imaginary identifier img to the slot's ID(s, img) and
+// forwards to the neighbor holding the slot. Callers that only want to
+// resolve the top T bits of k (the live runtime's truncated routing
+// cursor) call with injected = b - left, where left <= T counts the bits
+// still to inject.
+func NextShift(c int, k ring.ID, injected, b uint) Slot {
 	remaining := b - injected
 	bits := func(width uint) uint64 {
 		return (k >> injected) & ((uint64(1) << width) - 1)
 	}
-
-	if extra := c - 4; extra > 0 {
-		s2 := ring.Log2Floor(uint64(extra)) // second-group shift
-		t := 0
-		if s2 > 1 {
-			t = 1 << s2
-		}
-		tPrime := extra - t
-		// Third group: shift s2+1, but only patterns below t' exist.
-		if s3 := s2 + 1; tPrime > 0 && s3 <= remaining {
-			if want := bits(s3); want < uint64(tPrime) {
-				return GroupThird, s3, want
-			}
-		}
-		// Second group: shift s2, all 2^s2 patterns exist.
-		if t > 0 && s2 <= remaining {
-			return GroupSecond, s2, bits(s2)
+	shift, t, tPrime := GroupSizes(c)
+	// Third group: shift s+1, but only patterns below t' exist.
+	if s3 := shift + 1; tPrime > 0 && s3 <= remaining {
+		if want := bits(s3); want < uint64(tPrime) {
+			return Slot{Group: GroupThird, Pattern: want, Shift: s3}
 		}
 	}
+	// Second group: shift s, all 2^s patterns exist.
+	if t > 0 && shift <= remaining {
+		return Slot{Group: GroupSecond, Pattern: bits(shift), Shift: shift}
+	}
 	// Basic group: x/2 and 2^{b-1}+x/2 shift one bit with patterns {0, 1}.
-	return GroupBasic, 1, bits(1)
+	return Slot{Group: GroupBasic, Pattern: bits(1), Shift: 1}
 }
 
 // BuildTree runs the flooding MULTICAST routine of Section 4.3 from the

@@ -349,3 +349,49 @@ func TestBuildTreeReportsRedundantOffers(t *testing.T) {
 		t.Error("flooding over a dense digraph should suppress some duplicate offers")
 	}
 }
+
+// TestSlotIndexRoundTrip: SlotAt and Slot.Index are inverse closed forms
+// over the slot list, whose groups come in basic, second, third order with
+// the sizes GroupSizes gives, and every slot NextShift picks is in it.
+func TestSlotIndexRoundTrip(t *testing.T) {
+	for c := MinCapacity; c <= 80; c++ {
+		shift, tt, tPrime := GroupSizes(c)
+		count := [3]int{}
+		for i := 0; i < SlotCount(c); i++ {
+			sl := SlotAt(c, i)
+			if got := sl.Index(c); got != i {
+				t.Fatalf("c %d: SlotAt(%d) = %+v has Index %d", c, i, sl, got)
+			}
+			count[sl.Group]++
+		}
+		if count != [3]int{2, tt, tPrime} || tt+tPrime != c-4 || (tt > 0 && tt != 1<<shift) {
+			t.Fatalf("c %d: group sizes %v, GroupSizes %d %d %d", c, count, shift, tt, tPrime)
+		}
+		for k := ring.ID(0); k < 64; k++ {
+			for injected := uint(0); injected < 6; injected++ {
+				sl := NextShift(c, k, injected, 6)
+				if i := sl.Index(c); i >= SlotCount(c) || SlotAt(c, i) != sl {
+					t.Fatalf("c %d: NextShift picked %+v, not in the slot list", c, sl)
+				}
+			}
+		}
+	}
+}
+
+// TestAppendNeighborNodesAllocFree: with a reused dst buffer, neighbour
+// resolution allocates nothing, so a flood reuses one buffer throughout.
+func TestAppendNeighborNodesAllocFree(t *testing.T) {
+	n := randomNetwork(t, 14, 200, 4, 32, 12)
+	buf := make([]int, 0, 64)
+	pos := 0
+	avg := testing.AllocsPerRun(100, func() {
+		buf = n.AppendNeighborNodes(buf[:0], pos)
+		pos = (pos + 1) % n.Ring().Len()
+	})
+	if raceEnabled {
+		t.Skipf("race instrumentation allocates (%.1f per call); the gate runs without -race", avg)
+	}
+	if avg > 0 {
+		t.Fatalf("AppendNeighborNodes allocates %.1f times per call, want 0", avg)
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sync"
 
+	"camcast/internal/camchord"
 	"camcast/internal/multicast"
 	"camcast/internal/ring"
 	"camcast/internal/topology"
@@ -49,24 +50,13 @@ func (n *Network) Ring() *topology.Ring { return n.ring }
 func (n *Network) Base() int { return int(n.base) }
 
 // FingerIDs enumerates the finger identifiers of the node at ring position
-// pos in ascending clockwise order.
+// pos in ascending clockwise order: CAM-Chord's slot ladder at the uniform
+// base c.
 func (n *Network) FingerIDs(pos int) []ring.ID {
 	s := n.ring.Space()
 	x := n.ring.IDAt(pos)
-	c := n.base
 	out := make([]ring.ID, 0, 32)
-	for pow := uint64(1); pow < s.Size(); pow *= c {
-		for j := uint64(1); j <= c-1; j++ {
-			d := j * pow
-			if d >= s.Size() {
-				break
-			}
-			out = append(out, s.Add(x, d))
-		}
-		if pow > s.Size()/c {
-			break
-		}
-	}
+	camchord.Slots(s, int(n.base), func(sl camchord.Slot) { out = append(out, sl.ID(s, x)) })
 	return out
 }
 

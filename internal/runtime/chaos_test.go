@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"camcast/internal/camchord"
 	"camcast/internal/transport"
 )
 
@@ -364,10 +365,10 @@ func TestRepairSegmentHandsOffOrphan(t *testing.T) {
 
 	msgID := "repair-test#1"
 	parent.seen.Record(msgID)
-	cp := childPlan{
-		y:      victim.Self().ID,
-		segEnd: c.space.Sub(parent.Self().ID, 1), // the whole rest of the ring
-	}
+	cp := childPlan{Child: camchord.Child{
+		Y:      victim.Self().ID,
+		SegEnd: c.space.Sub(parent.Self().ID, 1), // the whole rest of the ring
+	}}
 	parent.repairSegment(context.Background(), msgID, parent.Self(), payloadRef{bytes: []byte("orphan")}, cp, victim.Self(), 0)
 
 	if got := parent.Stats().SegmentsRepaired; got != 1 {
@@ -378,7 +379,7 @@ func TestRepairSegmentHandsOffOrphan(t *testing.T) {
 		want := 0
 		// Only members inside the orphan segment (victim, segEnd] belong
 		// to the handoff; the dead victim itself can receive nothing.
-		if c.space.InOC(n.Self().ID, victim.Self().ID, cp.segEnd) {
+		if c.space.InOC(n.Self().ID, victim.Self().ID, cp.SegEnd) {
 			want = 1
 		}
 		if got := c.deliveries(addr, msgID); got != want {

@@ -2,12 +2,12 @@ package runtime
 
 import (
 	"context"
-	"math"
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"camcast/internal/camchord"
 	"camcast/internal/metrics"
 	"camcast/internal/obsv"
 	"camcast/internal/ring"
@@ -24,64 +24,23 @@ import (
 // spreadSegment on a node whose earlier fan-out is still blocked, and a
 // node-wide semaphore would deadlock there.
 
-// childPlan is one entry of a CAM-Chord dispatch plan: the target
-// identifier y whose successor becomes the child, the table slot expected
-// to hold it, and the end of the segment (child, segEnd] delegated to it.
-// to is the child that resolvePlan resolved from the node's own state
-// before the fan-out; it is zero when only a routed lookup can tell.
+// childPlan is one entry of a CAM-Chord dispatch plan: the planned child
+// (camchord.Plan) and to, the member that resolvePlan resolved it to from
+// the node's own state before the fan-out; to is zero when only a routed
+// lookup can tell.
 type childPlan struct {
-	y       ring.ID
-	key     tableKey
-	viaSucc bool
-	segEnd  ring.ID
-	to      NodeInfo
+	camchord.Child
+	to NodeInfo
 }
 
-// planSegments splits (self, k] across up to c_x children, exactly as the
-// static algorithm in internal/camchord: level-i neighbors preceding k,
-// then evenly spaced level-(i-1) children, then the successor. It appends
-// the children to plan and returns it. Segment boundaries depend only on
-// ring arithmetic, never on send outcomes, so the plan can be dispatched
-// concurrently.
+// planSegments appends to plan the children camchord.Plan splits
+// (self, k] into, the same split the simulator's tree uses. Segment
+// boundaries depend only on ring arithmetic, never on send outcomes, so
+// the plan can be dispatched concurrently.
 func (n *Node) planSegments(k ring.ID, plan []childPlan) []childPlan {
-	s := n.space
-	x := n.self.ID
-	c := uint64(n.cfg.Capacity)
-	if s.Dist(x, k) == 0 {
-		return plan
-	}
-
-	kk := k
-	add := func(y ring.ID, key tableKey, viaSucc bool) {
-		if s.Dist(x, kk) == 0 || !s.InOC(y, x, kk) {
-			return
-		}
-		plan = append(plan, childPlan{y: y, key: key, viaSucc: viaSucc, segEnd: kk})
-		kk = s.Sub(y, 1)
-	}
-
-	level, seq, pow := s.LevelSeq(x, k, c)
-	// Level-i neighbors preceding k (Lines 6-9).
-	for m := seq; m >= 1; m-- {
-		add(s.Add(x, m*pow), tableKey{level: uint32(level), seq: uint32(m)}, false)
-	}
-	// Evenly spaced level-(i-1) children (Lines 10-14; see internal/camchord
-	// for why the ceiling matches the paper's worked example).
-	if level >= 1 {
-		prevPow := pow / c
-		l := float64(c)
-		step := float64(c) / float64(c-seq)
-		for m := int64(c) - int64(seq) - 1; m >= 1; m-- {
-			l -= step
-			j := uint64(math.Ceil(l))
-			if j < 1 {
-				j = 1
-			}
-			add(s.Add(x, j*prevPow), tableKey{level: uint32(level - 1), seq: uint32(j)}, false)
-		}
-	}
-	// The successor (Line 15).
-	add(s.Add(x, 1), tableKey{}, true)
+	camchord.Plan(n.space, n.self.ID, k, n.cfg.Capacity, camchord.SpacingEven, func(ch camchord.Child) {
+		plan = append(plan, childPlan{Child: ch})
+	})
 	return plan
 }
 
@@ -125,20 +84,20 @@ func (n *Node) resolvePlan(plan []childPlan) []childPlan {
 	out := plan[:0]
 	for _, cp := range plan {
 		var cand NodeInfo
-		if cp.viaSucc {
+		if cp.Succ {
 			cand, _ = n.liveSuccessorLocked()
-		} else if idx, ok := n.spec.slotIndex(cp.key); ok && idx < len(n.slotRefs) {
-			cand = n.arena.Resolve(n.slotRefs[idx])
+		} else {
+			cand = n.arena.Resolve(n.slotRefs[cp.Slot.Index(n.cfg.Capacity)])
 		}
-		if !cand.zero() && cand.Addr != self.Addr && s.InOC(cand.ID, self.ID, cp.segEnd) && !n.isSuspect(cand.Addr) {
+		if !cand.zero() && cand.Addr != self.Addr && s.InOC(cand.ID, self.ID, cp.SegEnd) && !n.isSuspect(cand.Addr) {
 			cp.to = cand
-		} else if own, ok := n.ownSuccessor(cp.y, pred, hasPred, succ); ok {
-			if own.Addr == self.Addr || !s.InOC(own.ID, self.ID, cp.segEnd) {
+		} else if own, ok := n.ownSuccessor(cp.Y, pred, hasPred, succ); ok {
+			if own.Addr == self.Addr || !s.InOC(own.ID, self.ID, cp.SegEnd) {
 				continue // no member owns this segment
 			}
 			cp.to = own
-		} else if info, ok := n.memoPeek(cp.y); ok {
-			if info.zero() || info.Addr == self.Addr || !s.InOC(info.ID, self.ID, cp.segEnd) {
+		} else if info, ok := n.memoPeek(cp.Y); ok {
+			if info.zero() || info.Addr == self.Addr || !s.InOC(info.ID, self.ID, cp.SegEnd) {
 				continue // the memoized lookup found the segment empty
 			}
 			cp.to = info
@@ -483,7 +442,7 @@ func (p *taskPool) worker(t poolTask) {
 // resolve: in a quiet group the recurring per-message lookups — confirming
 // a planned segment empty, re-resolving a missing table slot — cost a map
 // hit instead of an RPC chain. The memo holds only while the topology
-// generation is unchanged; any membership write (stabilize, notify, fix,
+// generation is unchanged; any membership change (stabilize, notify, fix,
 // join, leave, suspicion flip) discards it, so a group in motion gets
 // exactly the fresh lookups it got before the memo existed. Failure-path
 // resolution (retry, repair) bypasses the memo on purpose: those callers
@@ -662,7 +621,7 @@ func (n *Node) forwardSegment(ctx context.Context, msgID string, source NodeInfo
 		// members joined looks exactly the same — and resolvePlan found no
 		// current memo entry. Confirm with a lookup before silently
 		// truncating the tree here.
-		info, err := n.confirmSuccessor(cp.y)
+		info, err := n.confirmSuccessor(cp.Y)
 		if err != nil {
 			// The lookup itself failed — the network said no, not the ring.
 			// Engage repair instead of truncating: a truly empty segment
@@ -671,19 +630,19 @@ func (n *Node) forwardSegment(ctx context.Context, msgID string, source NodeInfo
 			n.repairSegment(ctx, msgID, source, payload, cp, NodeInfo{}, hops)
 			return
 		}
-		if info.zero() || info.Addr == n.self.Addr || !s.InOC(info.ID, x, cp.segEnd) {
+		if info.zero() || info.Addr == n.self.Addr || !s.InOC(info.ID, x, cp.SegEnd) {
 			return // no live member owns this segment; nothing to deliver
 		}
 		child = info
 	}
 
-	req := multicastReq{MsgID: msgID, Source: source, Payload: payload.bytes, K: cp.segEnd, Hops: hops + 1, blob: payload.blob}
+	req := multicastReq{MsgID: msgID, Source: source, Payload: payload.bytes, K: cp.SegEnd, Hops: hops + 1, blob: payload.blob}
 	for attempt := 0; ; attempt++ {
 		_, err := n.sendTimed(ctx, child.Addr, kindMulticast, req)
 		if err == nil {
 			n.noteAcked()
 			if n.obs.bus.Active() {
-				n.emitf(obsv.KindForward, "%s -> segment end %d", msgID, cp.segEnd)
+				n.emitf(obsv.KindForward, "%s -> segment end %d", msgID, cp.SegEnd)
 			}
 			return
 		}
@@ -697,8 +656,8 @@ func (n *Node) forwardSegment(ctx context.Context, msgID string, source NodeInfo
 		n.backoff(ctx, attempt)
 		// The child may have died: re-resolve so its successor inherits
 		// the segment (transient drops re-send to the same child).
-		if info, _, lerr := n.FindSuccessor(cp.y); lerr == nil && !info.zero() {
-			if info.Addr == n.self.Addr || !s.InOC(info.ID, x, cp.segEnd) {
+		if info, _, lerr := n.FindSuccessor(cp.Y); lerr == nil && !info.zero() {
+			if info.Addr == n.self.Addr || !s.InOC(info.ID, x, cp.SegEnd) {
 				return // the segment emptied out under us
 			}
 			child = info
@@ -727,15 +686,15 @@ func (n *Node) forwardSegment(ctx context.Context, msgID string, source NodeInfo
 func (n *Node) repairSegment(ctx context.Context, msgID string, source NodeInfo, payload payloadRef, cp childPlan, failedChild NodeInfo, hops int) {
 	s := n.space
 	x := n.self.ID
-	req := multicastReq{MsgID: msgID, Source: source, Payload: payload.bytes, K: cp.segEnd, Hops: hops + 1, Repair: true, blob: payload.blob}
+	req := multicastReq{MsgID: msgID, Source: source, Payload: payload.bytes, K: cp.SegEnd, Hops: hops + 1, Repair: true, blob: payload.blob}
 
-	target, from := cp.y, s.Sub(cp.y, 1)
-	skipsChild := !failedChild.zero() && s.InOC(failedChild.ID, x, cp.segEnd)
+	target, from := cp.Y, s.Sub(cp.Y, 1)
+	skipsChild := !failedChild.zero() && s.InOC(failedChild.ID, x, cp.SegEnd)
 	if skipsChild {
 		target, from = s.Add(failedChild.ID, 1), failedChild.ID
 	}
 	if info, _, err := n.FindSuccessor(target); err == nil && !info.zero() {
-		if info.Addr == n.self.Addr || !s.InOC(info.ID, x, cp.segEnd) {
+		if info.Addr == n.self.Addr || !s.InOC(info.ID, x, cp.SegEnd) {
 			// No live members left past the failed child; nothing to repair.
 			if skipsChild {
 				n.noteChildMissed(msgID, failedChild)
@@ -743,7 +702,7 @@ func (n *Node) repairSegment(ctx context.Context, msgID string, source NodeInfo,
 			return
 		}
 		if _, err := n.sendTimed(ctx, info.Addr, kindMulticast, req); err == nil {
-			n.noteRepaired(msgID, cp.segEnd, info.Addr)
+			n.noteRepaired(msgID, cp.SegEnd, info.Addr)
 			if skipsChild {
 				n.noteChildMissed(msgID, failedChild)
 			}
@@ -753,14 +712,14 @@ func (n *Node) repairSegment(ctx context.Context, msgID string, source NodeInfo,
 	if ctx.Err() != nil {
 		return // caller canceled mid-repair; don't count the segment lost
 	}
-	if n.ringWalkHandoff(ctx, msgID, req, failedChild, from, cp.segEnd) {
+	if n.ringWalkHandoff(ctx, msgID, req, failedChild, from, cp.SegEnd) {
 		if skipsChild {
 			n.noteChildMissed(msgID, failedChild)
 		}
 		return
 	}
 	n.noteLost()
-	n.emitf(obsv.KindLost, "%s segment end %d lost", msgID, cp.segEnd)
+	n.emitf(obsv.KindLost, "%s segment end %d lost", msgID, cp.SegEnd)
 }
 
 // noteChildMissed accounts a failed child left out of its segment's

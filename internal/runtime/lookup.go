@@ -159,27 +159,23 @@ func (n *Node) digitRoute(req findSuccReq, self, pred NodeInfo, hasPred bool) (r
 	for req.Left > 0 {
 		// One digit step: the widest shift our capacity affords for the next
 		// of k's remaining top bits, looked up in our own slot table.
-		g, shift, v := camkoorde.NextShift(n.cfg.Capacity, k, b-uint(req.Left), b)
-		idx, ok := n.spec.slotIndex(tableKey{level: uint32(g), seq: uint32(v)})
-		var target NodeInfo
-		if ok {
-			n.mu.Lock()
-			if n.stopped {
-				n.mu.Unlock()
-				return nil, ErrStopped, true
-			}
-			target = n.arena.Resolve(n.slotRefs[idx])
+		sl := camkoorde.NextShift(n.cfg.Capacity, k, b-uint(req.Left), b)
+		n.mu.Lock()
+		if n.stopped {
 			n.mu.Unlock()
+			return nil, ErrStopped, true
 		}
+		target := n.arena.Resolve(n.slotRefs[sl.Index(n.cfg.Capacity)])
+		n.mu.Unlock()
 
 		// The cursor carries the calculated identifier, not the resolved
 		// node's, so sparse-ring resolution drift never compounds (each hop
 		// divides the previous offset by 2^shift); see camkoorde.Lookup for
 		// the static-network analogue.
 		fwd := req
-		fwd.Img = n.space.TopBits(v, shift) | n.space.Shr(req.Img, shift)
-		fwd.Left = req.Left - uint32(shift)
-		slotImg := n.space.TopBits(v, shift) | n.space.Shr(self.ID, shift)
+		fwd.Img = sl.ID(n.space, req.Img)
+		fwd.Left = req.Left - uint32(sl.Shift)
+		slotImg := sl.ID(n.space, self.ID)
 		switch {
 		case !target.zero() && (target.Addr == self.Addr || target.ID < slotImg):
 			req = fwd

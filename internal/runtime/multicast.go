@@ -119,9 +119,10 @@ func (n *Node) handleMulticast(req multicastReq) (any, error) {
 const planStack = 10
 
 // spreadSegment delivers the message to every member in (self, k] by
-// splitting the segment across up to c_x children, exactly as the static
-// algorithm in internal/camchord but resolving children through the node's
-// own pointers (with on-demand lookups for children beyond the successor).
+// splitting the segment across up to c_x children with camchord.Plan, the
+// split the static algorithm uses, but resolving children through the
+// node's own pointers (with on-demand lookups for children beyond the
+// successor).
 // Children that the node's own pointers prove empty are dropped before the
 // fan-out, so a leaf's spread sends nothing, allocates nothing and is not
 // observed. A lone child is sent inline; two or more are dispatched
@@ -229,10 +230,9 @@ func (n *Node) floodNeighbors(ctx context.Context, msgID string, source NodeInfo
 
 // appendKoordeNeighbors appends the node's current CAM-Koorde neighbor set
 // to out: predecessor, successor, and every resolved table slot,
-// deduplicated. Slots are visited in index order, which targetsFor
-// guarantees is ascending (level, seq) order, so the same routing state
-// always yields the same neighbor sequence — flood order is part of what
-// the deterministic replay engine asserts on.
+// deduplicated. Slots are visited in camkoorde's slot-index order, so the
+// same routing state always yields the same neighbor sequence — flood
+// order is part of what the deterministic replay engine asserts on.
 func (n *Node) appendKoordeNeighbors(out []NodeInfo) []NodeInfo {
 	n.mu.Lock()
 	defer n.mu.Unlock()

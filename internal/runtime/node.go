@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -346,8 +347,8 @@ type Node struct {
 	suspects  map[string]time.Time // addr -> suspicion expiry
 	nsuspects atomic.Int32
 
-	// topoGen counts membership-state writes — pred, successor list, table
-	// slots, suspicion changes — and gates the forwarding engine's segment
+	// topoGen counts membership-state changes — pred, successor list, table
+	// slots, suspicion — and gates the forwarding engine's segment
 	// confirmation memo (confirmSuccessor): lookups memoized in one
 	// generation are discarded the moment the node's view of the group
 	// moves, so a quiet group resolves per-message confirmations with ring
@@ -450,21 +451,24 @@ func (n *Node) setSuccHeadLocked(info NodeInfo) {
 	n.succRefs[0] = ref
 }
 
-// setSuccsLocked replaces the whole successor list. The two fixed-capacity
-// buffers ping-pong so steady-state stabilization rebuilds allocate
-// nothing.
-func (n *Node) setSuccsLocked(list []NodeInfo) {
+// setSuccsLocked replaces the whole successor list and reports whether it
+// changed. The two fixed-capacity buffers ping-pong so steady-state
+// stabilization rebuilds allocate nothing. The arena interns by address,
+// so an unchanged entry keeps its reference.
+func (n *Node) setSuccsLocked(list []NodeInfo) bool {
 	scratch := n.succSpare[:0]
 	for _, info := range list {
 		if ref := n.arena.Intern(info); ref != noRef {
 			scratch = append(scratch, ref)
 		}
 	}
+	changed := !slices.Equal(scratch, n.succRefs)
 	for _, ref := range n.succRefs {
 		n.arena.Release(ref)
 	}
 	n.succSpare = n.succRefs[:0]
 	n.succRefs = scratch
+	return changed
 }
 
 // setSuccSelfLocked resets the successor list to [self] (alone in the ring).
@@ -955,11 +959,13 @@ func (n *Node) handleNotify(req notifyReq) (any, error) {
 		// for good; have the next stabilization round check it.
 		n.predCheck = true
 	}
+	changed := accepted
 	// A second real member supersedes a self-successor.
 	if head, ok := n.succHeadLocked(); ok && head.Addr == n.self.Addr {
 		n.setSuccHeadLocked(c)
+		changed = true
 	}
-	if accepted {
+	if changed {
 		n.noteTopologyChange()
 	}
 	return notifyResp{Accepted: accepted}, nil
@@ -1079,13 +1085,16 @@ func (n *Node) StabilizeOnce() {
 		list = append(list, s)
 	}
 	n.mu.Lock()
-	n.setSuccsLocked(list)
+	changed := n.setSuccsLocked(list)
 	n.lastSucc = NodeInfo{}
 	// Drop a dead predecessor so a live candidate can take its place.
 	if cur, ok := n.predLocked(); predDead && ok && cur.Addr == pred.Addr {
 		n.setPredLocked(NodeInfo{})
+		changed = true
 	}
-	n.noteTopologyChange()
+	if changed {
+		n.noteTopologyChange()
+	}
 	n.mu.Unlock()
 
 	_, _ = n.call(succ.Addr, kindNotify, notifyReq{Candidate: n.self})

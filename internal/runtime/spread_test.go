@@ -160,17 +160,16 @@ func TestSpreadSlotBeatsStaleSuccessor(t *testing.T) {
 		// The segment (x, m] holds m alone. Its first child must be a table
 		// slot naming m, or the test proves nothing.
 		plan := x.planSegments(m.Self().ID, nil)
-		if len(plan) == 0 || plan[0].viaSucc {
+		if len(plan) == 0 || plan[0].Succ {
 			t.Fatalf("plan for (x, m] = %+v, want a table child first", plan)
 		}
 		x.mu.Lock()
-		idx, _ := x.spec.slotIndex(plan[0].key)
-		slot := x.arena.Resolve(x.slotRefs[idx])
+		slot := x.arena.Resolve(x.slotRefs[plan[0].Slot.Index(x.Capacity())])
 		x.mu.Unlock()
 		if slot.Addr != m.Self().Addr {
-			t.Fatalf("slot %+v holds %s, want %s", plan[0].key, slot.Addr, m.Self().Addr)
+			t.Fatalf("slot %+v holds %s, want %s", plan[0].Slot, slot.Addr, m.Self().Addr)
 		}
-		if own, _, err := x.FindSuccessor(plan[0].y); err != nil || own.Addr == m.Self().Addr {
+		if own, _, err := x.FindSuccessor(plan[0].Y); err != nil || own.Addr == m.Self().Addr {
 			t.Fatalf("x's own pointers answer %s (err %v), want them to skip %s", own.Addr, err, m.Self().Addr)
 		}
 
@@ -206,7 +205,7 @@ func TestSpreadSuccessorChildSkipsSuspect(t *testing.T) {
 				for i, n := range r.nodes {
 					plan := n.planSegments(r.space.Sub(n.Self().ID, 1), nil)
 					last := plan[len(plan)-1]
-					if last.viaSucc && r.space.InOC(r.at(i, 2).Self().ID, n.Self().ID, last.segEnd) {
+					if last.Succ && r.space.InOC(r.at(i, 2).Self().ID, n.Self().ID, last.SegEnd) {
 						xi = i
 						break
 					}
@@ -293,6 +292,54 @@ func TestSpreadExactCalls(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestQuietMaintenanceKeepsMemo: on a quiet bulk-installed ring, a round
+// of table refresh and stabilization that changes nothing leaves the
+// topology generation alone, so the next multicast answers its planned
+// children from the memo the earlier ones warmed and makes no more
+// find_successor RPCs than the multicast before the round.
+func TestQuietMaintenanceKeepsMemo(t *testing.T) {
+	size := 1000
+	if testing.Short() || raceEnabled {
+		size = 256
+	}
+	r := newExactRing(t, ModeCAMChord, size, 0)
+	src := r.nodes[size/3]
+	lookups := func() int {
+		msgID, err := src.Multicast([]byte("m"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.checkExactlyOnce(t, msgID)
+		count := 0
+		for _, c := range r.log.take() {
+			if c.kind == kindFindSucc {
+				count++
+			}
+		}
+		return count
+	}
+	lookups() // warm the memo
+	before := lookups()
+	gens := make([]uint64, size)
+	for i, n := range r.nodes {
+		gens[i] = n.topoGen.Load()
+	}
+	for _, n := range r.nodes {
+		n.FixOnce()
+		n.StabilizeOnce()
+	}
+	r.log.take()
+	for i, n := range r.nodes {
+		if g := n.topoGen.Load(); g != gens[i] {
+			t.Errorf("%s: unchanged maintenance moved the topology generation %d -> %d", n.Self().Addr, gens[i], g)
+			break
+		}
+	}
+	if after := lookups(); after > before {
+		t.Errorf("%d members: %d find_successor RPCs after an unchanged maintenance round, %d before it", size, after, before)
+	}
 }
 
 // TestSpreadMemoDropsEmptyChildren: on a converged ring whose lookup memo

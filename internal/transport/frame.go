@@ -95,7 +95,9 @@ const readBufSize = 4 << 10
 // (bufio hands reads at least as large as its buffer straight to the
 // socket). It is the one frame reader of both connection ends: requests
 // are served out of the blob, responses are decoded from it and released.
-// The caller owns the returned blob's single reference.
+// The caller owns the returned blob's single reference. A stream that
+// ends at a frame boundary returns io.EOF; one that ends inside a frame,
+// the length prefix included, returns io.ErrUnexpectedEOF.
 func readFrame(r *bufio.Reader) (*Blob, error) {
 	var lenb [4]byte
 	if _, err := io.ReadFull(r, lenb[:]); err != nil {
@@ -108,6 +110,11 @@ func readFrame(r *bufio.Reader) (*Blob, error) {
 	b := NewBlob(int(n))
 	if _, err := io.ReadFull(r, b.Bytes()); err != nil {
 		b.Release()
+		if err == io.EOF {
+			// The prefix promised a body: a stream cut here is truncated,
+			// not closed at a frame boundary.
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
 	return b, nil

@@ -123,6 +123,9 @@ func FuzzReadFrame(f *testing.F) {
 					if len(rest) == 0 && err != io.EOF {
 						t.Fatalf("buffer %d: clean stream end read as %v", size, err)
 					}
+					if len(rest) > 0 && err == io.EOF {
+						t.Fatalf("buffer %d: stream cut inside a frame read as a clean end", size)
+					}
 					break
 				}
 				if err != nil {
@@ -135,6 +138,36 @@ func FuzzReadFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReadFrameTruncation: a stream closed at a frame boundary ends with
+// io.EOF, and one cut anywhere inside a frame (inside the length prefix,
+// right after it, or inside the body) with io.ErrUnexpectedEOF, so a
+// reader never mistakes a truncated frame for a clean close.
+func TestReadFrameTruncation(t *testing.T) {
+	frame := make([]byte, 4+frameHeaderSize+3)
+	binary.BigEndian.PutUint32(frame, frameHeaderSize+3)
+	for _, tc := range []struct {
+		name string
+		cut  int // bytes of the second frame on the stream
+		want error
+	}{
+		{"boundary", 0, io.EOF},
+		{"inside prefix", 2, io.ErrUnexpectedEOF},
+		{"after prefix", 4, io.ErrUnexpectedEOF},
+		{"inside body", 7, io.ErrUnexpectedEOF},
+	} {
+		stream := append(append([]byte(nil), frame...), frame[:tc.cut]...)
+		br := bufio.NewReaderSize(bytes.NewReader(stream), readBufSize)
+		blob, err := readFrame(br)
+		if err != nil {
+			t.Fatalf("%s: first frame: %v", tc.name, err)
+		}
+		blob.Release()
+		if _, err := readFrame(br); err != tc.want {
+			t.Errorf("%s: second read = %v, want %v", tc.name, err, tc.want)
+		}
+	}
 }
 
 // captureConn is a net.Conn that records everything written to it, so
